@@ -123,7 +123,8 @@ def _pull_presentation(g: VarMorphism, pres: BimodulePresentation) -> BimodulePr
 
 
 def _push_presentation(h: VarMorphism, pres: BimodulePresentation) -> BimodulePresentation:
-    actions = tuple(corner_eval(pres.proj, pres.y_actions, img.rep)
+    powers: dict = {}
+    actions = tuple(corner_eval(pres.proj, pres.y_actions, img.rep, powers)
                     for img in h.images)
     return make_presentation(pres.X, h.target, pres.n, pres.proj, actions)
 

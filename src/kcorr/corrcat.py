@@ -18,32 +18,57 @@ from .exactalg import Matrix, Poly, QElem
 from .varieties import AffVariety
 
 
-def corner_eval(p: Matrix, action_mats, poly: Poly) -> Matrix:
+def _power(action_mats, i: int, e: int, powers: dict) -> Matrix:
+    """A_i^e from the table, each missing power built from the one below."""
+    k = e
+    while k > 1 and (i, k) not in powers:
+        k -= 1
+    mat = powers[i, k] if k > 1 else action_mats[i]
+    while k < e:
+        k += 1
+        mat = mat * action_mats[i]
+        powers[i, k] = mat
+    return mat
+
+
+def corner_eval(p: Matrix, action_mats, poly: Poly, powers: dict | None = None) -> Matrix:
     """Evaluate a polynomial in the corner algebra with unit ``p``.
 
     ``action_mats`` are indexed like the polynomial's variables; a monomial
-    c*y^a goes to c * p * prod(A_i^a_i) and the constant c0 to c0 * p.
+    c*y^a goes to c * p * prod(A_i^a_i) and the constant c0 to c0 * p.  The
+    result is summed entrywise as a linear combination of normal forms, so
+    it needs no further reduction.  ``powers`` maps (i, e) to A_i^e; callers
+    evaluating many polynomials against the same matrices pass one table.
     """
     basis = p.basis
+    ambient = basis.ambient
+    field = ambient.field
+    add, mul = field.add, field.mul
+    if powers is None:
+        powers = {}
     n = p.nrows
-    result = Matrix.zeros(basis, n, n)
-    powers: list[dict[int, Matrix]] = [dict() for _ in action_mats]
+    acc = [[{} for _ in range(n)] for _ in range(n)]
     for mono, coeff in poly.terms.items():
         if len(mono) != len(action_mats):
             raise UnknownVariable("polynomial does not match the action matrices")
         term = p
         for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            cache = powers[i]
-            if e not in cache:
-                acc = action_mats[i]
-                for _ in range(e - 1):
-                    acc = acc * action_mats[i]
-                cache[e] = acc
-            term = term * cache[e]
-        result = result + term.scale(coeff)
-    return result
+            if e:
+                term = term * _power(action_mats, i, e, powers)
+        for acc_row, row in zip(acc, term.rows):
+            for terms, entry in zip(acc_row, row):
+                for m, c in entry.rep.terms.items():
+                    prev = terms.get(m)
+                    terms[m] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
+    zero = QElem.zero(basis)
+    out = []
+    for acc_row in acc:
+        out_row = []
+        for terms in acc_row:
+            rep = Poly(ambient, terms)
+            out_row.append(QElem(basis, rep, reduced=True) if rep.terms else zero)
+        out.append(out_row)
+    return Matrix(basis, out, n, n)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,8 @@ class PrimeField(Field):
         return n % self.p
 
     def from_fraction(self, num, den):
+        if den % self.p == 0:
+            raise InvalidField(f"zero denominator in F{self.p} literal")
         return self.mul(self.from_int(num), self.inv(self.from_int(den)))
 
     def add(self, a, b):

@@ -110,6 +110,8 @@ class GroebnerBasis:
         return self.normal_form(f).is_zero()
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, GroebnerBasis) and self.ambient == other.ambient
                 and self.gens == other.gens)
 

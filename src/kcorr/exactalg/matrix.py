@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from ..errors import AmbientMismatch, ShapeError
 from .groebner import GroebnerBasis
-from .poly import Poly
+from .poly import Poly, mono_mul
 from .quotient import QElem
 
 
@@ -25,7 +25,7 @@ class Matrix:
             raise ShapeError("ragged matrix data")
         for r in rows:
             for e in r:
-                if e.basis != basis:
+                if e.basis is not basis and e.basis != basis:
                     raise AmbientMismatch("matrix entry over a different ring")
         self.basis = basis
         self.nrows = nrows
@@ -84,25 +84,44 @@ class Matrix:
                       self.nrows, self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Sparse product: each output entry is summed in one term map and
+        reduced once, and only when it is nonzero."""
         self._check_ring(other)
         if self.ncols != other.nrows:
             raise ShapeError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        if self.nrows == 0 or other.ncols == 0 or self.ncols == 0:
-            return Matrix.zeros(self.basis, self.nrows, other.ncols)
-        cols = list(zip(*other.rows))
+        basis = self.basis
+        ambient = basis.ambient
+        field = ambient.field
+        add, mul = field.add, field.mul
+        zero = QElem.zero(basis)
+        # nonzero (column, terms) of each row of the right factor
+        right = [[(j, e.rep.terms) for j, e in enumerate(row) if e.rep.terms]
+                 for row in other.rows]
         out = []
         for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = Poly.zero(self.basis.ambient)
-                for a, b in zip(row, col):
-                    if a.rep.is_zero() or b.rep.is_zero():
-                        continue
-                    acc = acc + a.rep * b.rep
-                out_row.append(QElem(self.basis, acc))
+            acc: dict = {}
+            for a, right_row in zip(row, right):
+                a_terms = a.rep.terms
+                if not a_terms:
+                    continue
+                for j, b_terms in right_row:
+                    terms = acc.get(j)
+                    if terms is None:
+                        terms = acc[j] = {}
+                    for m1, c1 in a_terms.items():
+                        for m2, c2 in b_terms.items():
+                            m = mono_mul(m1, m2)
+                            prev = terms.get(m)
+                            terms[m] = (mul(c1, c2) if prev is None
+                                        else add(prev, mul(c1, c2)))
+            out_row = [zero] * other.ncols
+            for j, terms in acc.items():
+                poly = Poly(ambient, terms)
+                if poly.terms:
+                    out_row[j] = QElem(basis, poly)
             out.append(out_row)
-        return Matrix(self.basis, out, self.nrows, other.ncols)
+        return Matrix(basis, out, self.nrows, other.ncols)
 
     def scale(self, c) -> "Matrix":
         return Matrix(self.basis, [[a.scale(c) for a in r] for r in self.rows],

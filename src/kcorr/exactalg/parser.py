@@ -10,7 +10,7 @@ and coefficients are integers or ``a/b`` rationals.  Example::
 
 from __future__ import annotations
 
-from ..errors import ParseError, UnknownVariable
+from ..errors import InvalidField, ParseError, UnknownVariable
 from .poly import Ambient, Poly
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -139,7 +139,10 @@ class _ExprParser:
                 dtok = self.next()
                 if dtok[0] != "int":
                     self.error("expected integer denominator", dtok)
-                c = self.ambient.field.from_fraction(num, int(dtok[1]))
+                try:
+                    c = self.ambient.field.from_fraction(num, int(dtok[1]))
+                except InvalidField as exc:
+                    self.error(str(exc), dtok)
             else:
                 c = self.ambient.field.from_int(num)
             return Poly.const(self.ambient, c)

@@ -7,6 +7,8 @@ descending in the ambient order) is what printing, hashing and equality use.
 
 from __future__ import annotations
 
+from operator import add
+
 from ..errors import AmbientMismatch, InvalidArity, UnknownVariable
 from .fields import Field
 
@@ -34,7 +36,7 @@ def order_key(order: str):
 # -- monomial helpers (exponent tuples) --------------------------------
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):

@@ -91,8 +91,9 @@ def _eval_blocks_flat(inner_obj: CorrObject, outer_mat: Matrix) -> Matrix:
     basis = inner_obj.X.gb
     if outer_mat.nrows == 0 or outer_mat.ncols == 0 or n == 0:
         return Matrix.zeros(basis, outer_mat.nrows * n, outer_mat.ncols * n)
+    powers: dict = {}
     blocks = [
-        [corner_eval(inner_obj.p, inner_obj.gen_images, entry.rep)
+        [corner_eval(inner_obj.p, inner_obj.gen_images, entry.rep, powers)
          for entry in row]
         for row in outer_mat.rows
     ]

@@ -1,14 +1,18 @@
 """Independent reference implementations used only as test oracles.
 
-Nothing here imports algorithmic code from the package under test: the
-Buchberger oracle works on plain ``{exponent tuple: coefficient}`` dicts with
-its own division loop and no pair pruning, the Kronecker oracle multiplies
-scalars directly, and the rank oracle is plain field Gaussian elimination.
+The Buchberger oracle works on plain ``{exponent tuple: coefficient}`` dicts
+with its own division loop and no pair pruning, the Kronecker oracle
+multiplies scalars directly, and the rank oracle is plain field Gaussian
+elimination.  The matrix oracles use the package's ``Poly`` arithmetic and
+``normal_form`` (which the Buchberger oracle checks) but none of its matrix
+or corner-evaluation code: they are the plain dense loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from kcorr.exactalg import Matrix, Poly, QElem
 
 
 # -- scalar helpers -----------------------------------------------------------
@@ -187,3 +191,41 @@ def field_gauss_rank(rows, ops):
         rank += 1
         col += 1
     return rank
+
+
+# -- dense matrix kernel over a quotient ring -----------------------------------
+
+
+def dense_matrix_product(a, b):
+    """a*b by the dense triple loop: each entry is the sum of all ``Poly``
+    products a[i][k]*b[k][j], zeros included, then one normal form."""
+    basis = a.basis
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = Poly.zero(basis.ambient)
+            for k in range(a.ncols):
+                acc = acc + a.rows[i][k].rep * b.rows[k][j].rep
+            row.append(QElem(basis, basis.normal_form(acc), reduced=True))
+        rows.append(row)
+    return Matrix(basis, rows, a.nrows, b.ncols)
+
+
+def term_by_term_corner_eval(p, action_mats, poly):
+    """Sum of c * p * A_1^a_1 * ... * A_m^a_m over the terms c*y^a of ``poly``.
+
+    Each term multiplies p by one action matrix at a time, so every power is
+    rebuilt for every term.
+    """
+    basis = p.basis
+    n = p.nrows
+    acc = [[Poly.zero(basis.ambient)] * n for _ in range(n)]
+    for mono, coeff in poly.terms.items():
+        term = p
+        for mat, e in zip(action_mats, mono):
+            for _ in range(e):
+                term = dense_matrix_product(term, mat)
+        acc = [[acc[i][j] + term.rows[i][j].rep.scale(coeff) for j in range(n)]
+               for i in range(n)]
+    return Matrix(basis, [[QElem(basis, f) for f in row] for row in acc], n, n)

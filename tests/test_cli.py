@@ -116,5 +116,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["compose", str(ok), "G", "NOPE"]) == 2
 
 
+def test_zero_denominator_in_prime_field_exits_2(tmp_path, capsys):
+    bad = tmp_path / "fp.kc"
+    bad.write_text("format 1\nfield Fp 5\n"
+                   "variety A1 { vars = [x]; ideal = [x - 1/5] }\n", encoding="utf-8")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "denominator" in err
+
+
 def test_debug_validate_flag(session_file):
     assert main(["--debug-validate", "compose", session_file, "G", "G"]) == 0

@@ -66,6 +66,9 @@ def test_parser_errors():
         parse_poly("x ^ y", AMB)
     with pytest.raises(ParseError):
         parse_poly("", AMB)
+    for amb, literal in ((AMB, "x - 1/0"), (AMB5, "x - 1/5")):
+        with pytest.raises(ParseError, match="line 4"):
+            parse_poly(literal, amb, line=4)
 
 
 def test_print_parse_round_trip():
