@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corrcat import CorrObject, corner_eval, make_correspondence
-from .errors import AmbientMismatch, InvalidObject, ShapeError
-from .exactalg import Matrix, QElem
+from .corrcat import CorrObject, _check_object_data, corner_eval, make_correspondence
+from .errors import AmbientMismatch, ShapeError
+from .exactalg import Matrix
 from .varieties import AffVariety, VarMorphism, compose_maps, identity_map, product
 
 
@@ -35,37 +35,11 @@ class BimodulePresentation:
         return f"BimodulePresentation({self.ambient.name}, n={self.n})"
 
 
-def _check_presentation(X, Y, n, proj, y_actions):
-    basis = X.gb
-    if proj.basis != basis:
-        raise AmbientMismatch(f"projector not over k[{X.name}]")
-    if proj.nrows != n or proj.ncols != n:
-        raise ShapeError(f"projector must be {n}x{n}")
-    if len(y_actions) != len(Y.vars):
-        raise ShapeError(f"need {len(Y.vars)} action matrices for {Y.name}")
-    if proj * proj != proj:
-        raise InvalidObject("projector is not idempotent")
-    for name, a in zip(Y.vars, y_actions):
-        if a.nrows != n or a.ncols != n or a.basis != basis:
-            raise ShapeError(f"bad action matrix for {name}")
-        if proj * a != a or a * proj != a:
-            raise InvalidObject(f"action of {name} is not fixed by the projector")
-    m = len(y_actions)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if y_actions[i] * y_actions[j] != y_actions[j] * y_actions[i]:
-                raise InvalidObject(
-                    f"actions of {Y.vars[i]} and {Y.vars[j]} do not commute")
-    for rel in Y.ideal_gens:
-        if not corner_eval(proj, y_actions, rel).is_zero():
-            raise InvalidObject(f"target relation {rel} does not act by zero")
-
-
 def make_presentation(X: AffVariety, Y: AffVariety, n: int, proj: Matrix,
                       y_actions) -> BimodulePresentation:
     """Validated presentation; the X-actions are derived, not supplied."""
     y_actions = tuple(y_actions)
-    _check_presentation(X, Y, n, proj, y_actions)
+    _check_object_data(X, Y, n, proj, y_actions)
     x_actions = tuple(proj.scale_elem(X.var(v)) for v in X.vars)
     return BimodulePresentation(X, Y, product(X, Y), n, proj, x_actions, y_actions)
 
@@ -110,16 +84,8 @@ def bimodule_hom_valid(p: BimodulePresentation, q: BimodulePresentation,
 
 
 def _pull_presentation(g: VarMorphism, pres: BimodulePresentation) -> BimodulePresentation:
-    basis = g.source.gb
-    image_map = g.image_map()
-    ambient = g.source.ambient
-
-    def pull(mat):
-        return mat.map_entries(
-            lambda e: QElem(basis, e.rep.substitute(image_map, ambient)), basis)
-
-    return make_presentation(g.source, pres.Y, pres.n, pull(pres.proj),
-                             tuple(pull(a) for a in pres.y_actions))
+    return make_presentation(g.source, pres.Y, pres.n, g.pull_matrix(pres.proj),
+                             tuple(g.pull_matrix(a) for a in pres.y_actions))
 
 
 def _push_presentation(h: VarMorphism, pres: BimodulePresentation) -> BimodulePresentation:

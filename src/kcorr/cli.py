@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import combinations
 
 from . import bimod, config, functors, k0 as k0mod, pairing
 from .corrcat import make_corr_morphism
@@ -141,16 +142,11 @@ def cmd_k0(session: Session, args, out) -> int:
         searchable = (not x.vars and not x.ideal_gens
                       and not y.vars and not y.ideal_gens)
         if searchable:
-            ids = sorted(by_id)
-            for i in ids:
-                for j in ids:
-                    if j <= i:
-                        continue
-                    a, b = ledger.object_of(i), ledger.object_of(j)
-                    if max(a.n, b.n) <= 3:
-                        cert = k0mod.pt_conjugation_certificate(a, b)
-                        if cert is not None:
-                            k0mod.k0_register(ledger, cert)
+            for i, j in combinations(sorted(by_id), 2):
+                cert = k0mod.pt_conjugation_certificate(ledger.object_of(i),
+                                                        ledger.object_of(j))
+                if cert is not None:
+                    k0mod.k0_register(ledger, cert)
         ranks = {}
         if not x.ideal_gens:
             for i, name in by_id.items():
@@ -179,20 +175,26 @@ def cmd_k0(session: Session, args, out) -> int:
     return EXIT_OK
 
 
+class _LawsParser(argparse.ArgumentParser):
+    """Option errors become input errors instead of leaving the process."""
+
+    def error(self, message):
+        raise ResolveError(f"laws: {message}")
+
+
+LAWS_PARSER = _LawsParser(prog="laws", add_help=False)
+LAWS_PARSER.add_argument("--seed", type=int, default=42)
+LAWS_PARSER.add_argument("--cases", type=int, default=200)
+LAWS_PARSER.add_argument("--field", default=None)
+LAWS_PARSER.add_argument("--format", dest="fmt", default="text",
+                         choices=("text", "json-lines"))
+LAWS_PARSER.add_argument("--law", action="append", choices=LAW_NAMES)
+
+
 def cmd_laws(session, args, out) -> int:
-    parser = argparse.ArgumentParser(prog="laws", add_help=False)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--cases", type=int, default=200)
-    parser.add_argument("--field", default=None)
-    parser.add_argument("--format", dest="fmt", default="text",
-                        choices=("text", "json-lines"))
-    parser.add_argument("--law", action="append", choices=LAW_NAMES)
-    opts = parser.parse_args(args)
-    fields = None
-    if opts.field:
-        fields = (parse_field(opts.field),)
-    report = law_suite(opts.seed, opts.cases, fields=fields,
-                       laws=opts.law)
+    opts = LAWS_PARSER.parse_args(args)
+    fields = (parse_field(opts.field),) if opts.field else None
+    report = law_suite(opts.seed, opts.cases, fields=fields, laws=opts.law)
     out(report.to_text() if opts.fmt == "text" else report.to_json_lines())
     return report.exit_code
 
@@ -211,16 +213,13 @@ SESSION_COMMANDS = {
 }
 
 
-def execute_command(session: Session, line: str, out) -> int:
-    tokens = line.split()
-    word, args = tokens[0], tokens[1:]
+def execute_command(session: Session | None, word: str, args, out) -> int:
     if word not in SESSION_COMMANDS:
         raise ResolveError(f"unknown command {word!r}")
     handler, min_args, max_args = SESSION_COMMANDS[word]
-    if word != "laws":
-        if len(args) < min_args or (max_args is not None and len(args) > max_args):
-            raise ResolveError(f"command {word} takes "
-                               f"{min_args}{'+' if max_args is None else ''} arguments")
+    if len(args) < min_args or (max_args is not None and len(args) > max_args):
+        raise ResolveError(f"command {word} takes "
+                           f"{min_args}{'+' if max_args is None else ''} arguments")
     return handler(session, args, out)
 
 
@@ -228,102 +227,64 @@ def run_session(session: Session, out) -> int:
     code = EXIT_OK
     for line in session.commands:
         out(f"> {line}")
-        code = max(code, execute_command(session, line, out))
+        word, *args = line.split()
+        code = max(code, execute_command(session, word, args, out))
     return code
+
+
+USAGE = """commands:
+  run SESSION                   execute the command list of a session
+  print SESSION                 canonical reprint
+  validate SESSION
+  compose SESSION PHI1 PHI2     likewise pullback/pushforward/box SESSION MAP PHI
+  rho SESSION PHI | rho-inv SESSION AUT
+  k0 SESSION [NAMES...]
+  compare-bimodule SESSION PHI1 PHI2 MATRIX
+  laws [--seed N] [--cases N] [--field Q|Fp:P] [--format text|json-lines]
+       [--law FAMILY]...
+
+exit codes: 0 success, 1 law failure, 2 input error (a wrong argument count
+included)"""
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="kcorr",
         description="Exact computer algebra for matrix-correspondence "
-                    "categories over affine varieties.")
+                    "categories over affine varieties.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=USAGE)
     parser.add_argument("--debug-validate", action="store_true",
                         help="re-validate every derived value and cross-check "
                              "fast paths")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute the commands of a session file")
-    p_run.add_argument("session")
-
-    p_print = sub.add_parser("print", help="parse a session and print it canonically")
-    p_print.add_argument("session")
-
-    p_laws = sub.add_parser("laws", help="run the randomized law suite")
-    p_laws.add_argument("--seed", type=int, default=42)
-    p_laws.add_argument("--cases", type=int, default=200)
-    p_laws.add_argument("--field", default=None, help="Q or Fp:P (default: both)")
-    p_laws.add_argument("--format", dest="fmt", default="text",
-                        choices=("text", "json-lines"))
-    p_laws.add_argument("--law", action="append", choices=LAW_NAMES,
-                        help="restrict to one or more families")
-
-    for name, nargs in (("validate", 0), ("k0", "*")):
-        p = sub.add_parser(name)
-        p.add_argument("session")
-        if nargs == "*":
-            p.add_argument("names", nargs="*")
-
-    for name, extra in (("compose", ("PHI1", "PHI2")),
-                        ("pullback", ("F", "PHI")),
-                        ("pushforward", ("G", "PHI")),
-                        ("box", ("F", "PHI")),
-                        ("rho", ("PHI",)),
-                        ("rho-inv", ("AUT",))):
-        p = sub.add_parser(name)
-        p.add_argument("session")
-        for arg in extra:
-            p.add_argument(arg.lower())
-
-    p_cb = sub.add_parser("compare-bimodule")
-    p_cb.add_argument("session")
-    p_cb.add_argument("phi1")
-    p_cb.add_argument("phi2")
-    p_cb.add_argument("matrix", nargs="+")
-
-    args = parser.parse_args(argv)
+    parser.add_argument("command", choices=("run", "print", *SESSION_COMMANDS),
+                        metavar="COMMAND")
+    parser.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
+                        help="a SESSION file, then the command's arguments "
+                             "(laws takes options only)")
+    opts = parser.parse_args(argv)
+    word, args = opts.command, opts.args
     out = print
-    config.set_debug_validation(args.debug_validate)
+    config.set_debug_validation(opts.debug_validate)
     try:
-        if args.command == "laws":
-            fields = (parse_field(args.field),) if args.field else None
-            report = law_suite(args.seed, args.cases, fields=fields, laws=args.law)
-            out(report.to_text() if args.fmt == "text" else report.to_json_lines())
-            return report.exit_code
-        session = _load_session(args.session)
-        if args.command == "run":
+        if word == "laws":
+            return execute_command(None, word, args, out)
+        if not args:
+            raise ResolveError(f"command {word} needs a SESSION file")
+        if word in ("run", "print") and len(args) > 1:
+            raise ResolveError(f"command {word} takes 0 arguments")
+        session = _load_session(args[0])
+        if word == "run":
             return run_session(session, out)
-        if args.command == "print":
+        if word == "print":
             sys.stdout.write(print_session(session))
             return EXIT_OK
-        if args.command == "validate":
-            return cmd_validate(session, [], out)
-        if args.command == "k0":
-            return cmd_k0(session, args.names, out)
-        if args.command == "compose":
-            return cmd_compose(session, [args.phi1, args.phi2], out)
-        if args.command == "pullback":
-            return cmd_pullback(session, [args.f, args.phi], out)
-        if args.command == "pushforward":
-            return cmd_pushforward(session, [args.g, args.phi], out)
-        if args.command == "box":
-            return cmd_box(session, [args.f, args.phi], out)
-        if args.command == "rho":
-            return cmd_rho(session, [args.phi], out)
-        if args.command == "rho-inv":
-            return cmd_rho_inv(session, [args.aut], out)
-        if args.command == "compare-bimodule":
-            return cmd_compare_bimodule(
-                session, [args.phi1, args.phi2] + args.matrix, out)
-        parser.error(f"unhandled command {args.command}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except KcorrError as exc:
+        return execute_command(session, word, args[1:], out)
+    except (OSError, KcorrError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     finally:
         config.set_debug_validation(False)
-    return EXIT_OK
 
 
 if __name__ == "__main__":

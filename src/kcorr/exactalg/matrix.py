@@ -1,6 +1,10 @@
 """Exact matrices over quotient rings, plus the linear algebra the package
-needs: block assembly, inverses of scalar matrices, and rank over the
-fraction field of an integral coordinate ring."""
+needs: block assembly and two eliminations.
+
+Scalar matrices (entries in the base field) go through one reduced row
+echelon helper, :func:`scalar_rref`; inverses and the column-space frames of
+k0 are built on it.  Rank over the fraction field of an integral coordinate
+ring uses division-free elimination, which needs no fractions."""
 
 from __future__ import annotations
 
@@ -193,54 +197,30 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: [{body}])"
 
 
-class _Frac:
-    """Fraction of ring elements; valid over an integral domain only."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QElem, den: QElem):
-        self.num = num
-        self.den = den
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def sub_mul(self, other: "_Frac", factor: "_Frac") -> "_Frac":
-        # self - other*factor
-        a = self.num * other.den * factor.den - other.num * factor.num * self.den
-        b = self.den * other.den * factor.den
-        return _Frac(a, b)
-
-    def div(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.den, self.den * other.num)
-
-
 def rank_over_fraction_field(mat: Matrix) -> int:
-    """Rank of ``mat`` over Frac(R); the ring must be an integral domain."""
-    one = QElem.one(mat.basis)
-    rows = [[_Frac(e, one) for e in r] for r in mat.rows]
+    """Rank of ``mat`` over Frac(R); the ring must be an integral domain.
+
+    Division-free elimination: ``row_i := pivot*row_i - entry*row_piv``.
+    Scaling a row by a nonzero element keeps the rank over Frac(R), and in a
+    domain the scaled pivot row stays nonzero.
+    """
+    rows = [list(r) for r in mat.rows]
     rank = 0
-    col = 0
-    while rank < len(rows) and col < mat.ncols:
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot_row = i
-                break
+    for col in range(mat.ncols):
+        if rank == len(rows):
+            break
+        pivot_row = next((i for i in range(rank, len(rows))
+                          if not rows[i][col].is_zero()), None)
         if pivot_row is None:
-            col += 1
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
+        top = rows[rank]
+        pivot = top[col]
         for i in range(rank + 1, len(rows)):
             entry = rows[i][col]
-            if entry.is_zero():
-                continue
-            factor = entry.div(pivot)
-            rows[i] = [rows[i][j].sub_mul(rows[rank][j], factor)
-                       for j in range(mat.ncols)]
+            if not entry.is_zero():
+                rows[i] = [pivot * v - entry * w for v, w in zip(rows[i], top)]
         rank += 1
-        col += 1
     return rank
 
 
@@ -251,32 +231,53 @@ def scalar_value(e: QElem):
     return e.rep.constant_value()
 
 
+def scalar_rref(field, rows) -> list:
+    """Bring a list of scalar rows to reduced row echelon form, in place.
+
+    Returns the pivot columns, which are exactly the greedy maximal
+    independent set of columns (each column independent of those before it).
+    """
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = field.inv(rows[r][col])
+        top = rows[r] = [field.mul(inv, v) for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                rows[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(row, top)]
+        pivots.append(col)
+    return pivots
+
+
+def pivot_columns(mat: Matrix) -> list:
+    """Indices of the greedy maximal independent set of columns of a scalar
+    matrix; their number is its rank."""
+    rows = [[scalar_value(e) for e in row] for row in mat.rows]
+    return scalar_rref(mat.basis.ambient.field, rows)
+
+
 def invert_scalar_matrix(mat: Matrix) -> Matrix | None:
-    """Inverse of a square matrix with scalar entries; None when singular."""
+    """Inverse of a square matrix with scalar entries; None when singular.
+
+    Row-reduces ``[mat | I]``: ``mat`` is invertible exactly when its own
+    columns are all pivots, and the right half is then the inverse.
+    """
     if mat.nrows != mat.ncols:
         raise ShapeError("only square matrices can be inverted")
     n = mat.nrows
     field = mat.basis.ambient.field
-    a = [[scalar_value(e) for e in row] for row in mat.rows]
-    inv = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return None
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        p = field.inv(a[col][col])
-        a[col] = [field.mul(p, v) for v in a[col]]
-        inv[col] = [field.mul(p, v) for v in inv[col]]
-        for i in range(n):
-            if i == col or not a[i][col]:
-                continue
-            f = a[i][col]
-            a[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(a[i], a[col])]
-            inv[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(inv[i], inv[col])]
+    rows = [[scalar_value(e) for e in row]
+            + [field.one if i == j else field.zero for j in range(n)]
+            for i, row in enumerate(mat.rows)]
+    if scalar_rref(field, rows)[:n] != list(range(n)):
+        return None
     basis = mat.basis
-    return Matrix(basis, [[QElem.const(basis, v) for v in row] for row in inv], n, n)
+    return Matrix(basis, [[QElem.const(basis, v) for v in row[n:]] for row in rows],
+                  n, n)

@@ -18,19 +18,9 @@ from .corrcat import (CorrMorphism, CorrObject, eval_nonunital, graph_object,
                       identity_morphism, make_corr_morphism,
                       make_correspondence, _trusted_morphism, _trusted_object)
 from .errors import InternalLawViolation, InvalidArity, InvalidCertificate, ShapeError
-from .exactalg import Matrix, QElem
 from .pairing import compose_objects, compose_morphisms
 from .varieties import (AffVariety, VarMorphism, gm_power, point, product,
                         product_of, split_projections, torus_arity, _flatten)
-
-
-def _transport_matrix(f: VarMorphism, mat: Matrix) -> Matrix:
-    """Entrywise coordinate pullback of a matrix over k[f.target]."""
-    basis = f.source.gb
-    image_map = f.image_map()
-    ambient = f.source.ambient
-    return mat.map_entries(
-        lambda e: QElem(basis, e.rep.substitute(image_map, ambient)), basis)
 
 
 def pullback_obj(f: VarMorphism, obj: CorrObject) -> CorrObject:
@@ -38,8 +28,8 @@ def pullback_obj(f: VarMorphism, obj: CorrObject) -> CorrObject:
     if f.target != obj.X:
         raise ShapeError(f"{f.target.name} is not the base of the object")
     result = _trusted_object(f.source, obj.Y, obj.n,
-                             _transport_matrix(f, obj.p),
-                             tuple(_transport_matrix(f, a) for a in obj.gen_images))
+                             f.pull_matrix(obj.p),
+                             tuple(f.pull_matrix(a) for a in obj.gen_images))
     if config.debug_enabled():
         via_graph = compose_objects(graph_object(f), obj)
         if via_graph != result:
@@ -49,7 +39,7 @@ def pullback_obj(f: VarMorphism, obj: CorrObject) -> CorrObject:
 
 def pullback_mor(f: VarMorphism, mor: CorrMorphism) -> CorrMorphism:
     result = _trusted_morphism(pullback_obj(f, mor.src), pullback_obj(f, mor.dst),
-                               _transport_matrix(f, mor.mat))
+                               f.pull_matrix(mor.mat))
     if config.debug_enabled():
         via_graph = compose_morphisms(mor, identity_morphism(graph_object(f)))
         if via_graph.mat != result.mat:
@@ -93,8 +83,8 @@ def box_product(f: VarMorphism, obj: CorrObject) -> CorrObject:
     src = product(obj.X, f.source)
     tgt = product(obj.Y, f.target)
     q_x, q_u = split_projections(src, obj.X, f.source)
-    p = _transport_matrix(q_x, obj.p)
-    gens = [_transport_matrix(q_x, a) for a in obj.gen_images]
+    p = q_x.pull_matrix(obj.p)
+    gens = [q_x.pull_matrix(a) for a in obj.gen_images]
     for img in f.images:
         scalar = q_u.pull(img)
         gens.append(p.scale_elem(scalar))
@@ -105,7 +95,7 @@ def box_mor(f: VarMorphism, mor: CorrMorphism) -> CorrMorphism:
     src = box_product(f, mor.src)
     dst = box_product(f, mor.dst)
     q_x, _ = split_projections(src.X, mor.src.X, f.source)
-    return _trusted_morphism(src, dst, _transport_matrix(q_x, mor.mat))
+    return _trusted_morphism(src, dst, q_x.pull_matrix(mor.mat))
 
 
 # -- torus actions as certified automorphisms ------------------------------
@@ -244,8 +234,8 @@ def pullback_aut(f: VarMorphism, aut: AutObject) -> AutObject:
     """Base change of an automorphism object; witnesses transport entrywise."""
     base = pullback_obj(f, aut.base)
     thetas = tuple(
-        (_trusted_morphism(base, base, _transport_matrix(f, fwd.mat)),
-         _trusted_morphism(base, base, _transport_matrix(f, bwd.mat)))
+        (_trusted_morphism(base, base, f.pull_matrix(fwd.mat)),
+         _trusted_morphism(base, base, f.pull_matrix(bwd.mat)))
         for fwd, bwd in aut.thetas)
     return AutObject(base, thetas)
 

@@ -17,8 +17,8 @@ from .corrcat import (CorrObject, IsoCertificate, direct_sum,
                       make_corr_morphism, verify_iso)
 from .errors import (AmbientMismatch, InvalidCertificate, NotIntegral,
                      UnknownObject)
-from .exactalg import (Matrix, QElem, invert_scalar_matrix,
-                       rank_over_fraction_field, scalar_value)
+from .exactalg import (Matrix, QElem, invert_scalar_matrix, pivot_columns,
+                       rank_over_fraction_field)
 from .pairing import compose_objects, compose_morphisms
 
 
@@ -40,62 +40,34 @@ def _is_point_like(v) -> bool:
     return not v.vars and not v.ideal_gens
 
 
-def _column_space_basis(mat: Matrix):
-    """Indices of a maximal independent set among the columns (scalar entries)."""
-    field = mat.basis.ambient.field
-    cols = [[scalar_value(mat[i, j]) for i in range(mat.nrows)]
-            for j in range(mat.ncols)]
-    chosen = []
-    pivots = []  # echelon rows: (pivot index, vector)
-    for j, col in enumerate(cols):
-        vec = list(col)
-        for piv, pvec in pivots:
-            factor = vec[piv]
-            if factor:
-                vec = [field.sub(v, field.mul(factor, w)) for v, w in zip(vec, pvec)]
-        lead = next((i for i, v in enumerate(vec) if v), None)
-        if lead is None:
-            continue
-        inv = field.inv(vec[lead])
-        vec = [field.mul(inv, v) for v in vec]
-        pivots.append((lead, vec))
-        chosen.append(j)
-    return chosen, cols
-
-
 def pt_conjugation_certificate(a: CorrObject, b: CorrObject) -> IsoCertificate | None:
-    """Search for an isomorphism between small objects over a point base.
+    """Search for an isomorphism between objects over a point base.
 
     Works by matching column spaces: both idempotents are put in the
     standard frame (image basis first, kernel basis after), and equal ranks
     give mutually inverse maps between the images even when the sizes n
-    differ.  Returns None when the ranks differ.  Restricted to (pt, pt)
-    shapes with n <= 3, the regime the exhaustive k0 checks run in.
+    differ.  Returns None when the ranks differ.  Over (pt, pt) the entries
+    are scalars, so the frames exist at every n and the search is exact.
     """
     if not (_is_point_like(a.X) and _is_point_like(a.Y)):
         raise AmbientMismatch("conjugation search is only available over (pt, pt)")
     if a.X != b.X or a.Y != b.Y:
         raise AmbientMismatch("objects over different (X, Y)")
-    if a.n > 3 or b.n > 3:
-        raise AmbientMismatch("conjugation search is restricted to n <= 3")
 
     basis = a.X.gb
-    rank_a = len(_column_space_basis(a.p)[0]) if a.n else 0
-    rank_b = len(_column_space_basis(b.p)[0]) if b.n else 0
-    if rank_a != rank_b:
+    r = len(pivot_columns(a.p))
+    if r != len(pivot_columns(b.p)):
         return None
-    r = rank_a
 
     def frame(p: Matrix) -> Matrix | None:
         n = p.nrows
-        identity = Matrix.identity(basis, n)
-        im_idx, im_cols = _column_space_basis(p)
-        ker_idx, ker_cols = _column_space_basis(identity - p)
-        cols = [im_cols[j] for j in im_idx] + [ker_cols[j] for j in ker_idx]
-        if len(cols) != n:
+        q = Matrix.identity(basis, n) - p
+        image, kernel = pivot_columns(p), pivot_columns(q)
+        if len(image) + len(kernel) != n:
             return None
-        rows = [[QElem.const(basis, cols[j][i]) for j in range(n)] for i in range(n)]
-        return Matrix(basis, rows, n, n)
+        return Matrix(basis, [[p.rows[i][j] for j in image]
+                              + [q.rows[i][j] for j in kernel] for i in range(n)],
+                      n, n)
 
     frame_a = frame(a.p)
     frame_b = frame(b.p)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .errors import (AmbientMismatch, FieldMismatch, InvalidArity,
                      NotWellDefined, ShapeError, UnknownVariable)
-from .exactalg import (DEGREVLEX, Ambient, Field, GroebnerBasis, Poly, QElem,
-                       buchberger, parse_poly)
+from .exactalg import (DEGREVLEX, Ambient, Field, GroebnerBasis, Matrix, Poly,
+                       QElem, buchberger, parse_poly)
 
 SEPARATOR = "."
 
@@ -231,6 +231,14 @@ class VarMorphism:
         q = self.target.qelem(value)
         rep = q.rep.substitute(self.image_map(), self.source.ambient)
         return QElem(self.source.gb, rep)
+
+    def pull_matrix(self, mat: Matrix) -> Matrix:
+        """Entrywise pullback of a matrix over k[target] to k[source]."""
+        basis = self.source.gb
+        image_map = self.image_map()
+        ambient = self.source.ambient
+        return mat.map_entries(
+            lambda e: QElem(basis, e.rep.substitute(image_map, ambient)), basis)
 
     def key(self):
         return (self.source, self.target, self.images)

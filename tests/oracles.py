@@ -2,10 +2,12 @@
 
 The Buchberger oracle works on plain ``{exponent tuple: coefficient}`` dicts
 with its own division loop and no pair pruning, the Kronecker oracle
-multiplies scalars directly, and the rank oracle is plain field Gaussian
-elimination.  The matrix oracles use the package's ``Poly`` arithmetic and
-``normal_form`` (which the Buchberger oracle checks) but none of its matrix
-or corner-evaluation code: they are the plain dense loops.
+multiplies scalars directly, the scalar rank oracle is plain field Gaussian
+elimination, and the fraction-field rank oracle eliminates on (numerator,
+denominator) pairs of ring elements.  The matrix oracles use the package's
+``Poly`` arithmetic and ``normal_form`` (which the Buchberger oracle checks)
+but none of its matrix or corner-evaluation code: they are the plain dense
+loops.
 """
 
 from __future__ import annotations
@@ -188,6 +190,36 @@ def field_gauss_rank(rows, ops):
                 f = rows[i][col]
                 rows[i] = [ops["sub"](v, ops["mul"](f, w))
                            for v, w in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+# -- rank over a fraction field ------------------------------------------------
+
+
+def fraction_pair_rank(mat):
+    """Rank of a ``Matrix`` over Frac(R) by elimination on (numerator,
+    denominator) pairs of ring elements; valid over an integral domain."""
+    one = QElem.one(mat.basis)
+    rows = [[(e, one) for e in r] for r in mat.rows]
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < mat.ncols:
+        pivot = next((i for i in range(rank, len(rows))
+                      if not rows[i][col][0].is_zero()), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pn, pd = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            en, ed = rows[i][col]
+            if en.is_zero():
+                continue
+            fn, fd = en * pd, ed * pn  # factor = entry / pivot
+            rows[i] = [(a * b_den * fd - b_num * fn * a_den, a_den * b_den * fd)
+                       for (a, a_den), (b_num, b_den) in zip(rows[i], rows[rank])]
         rank += 1
         col += 1
     return rank

@@ -1,5 +1,6 @@
 import pytest
 
+from kcorr import cli, session
 from kcorr.cli import main
 
 SESSION = """format 1
@@ -75,6 +76,21 @@ def test_k0_report(session_file, capsys):
     assert "brackets coincide" in out
 
 
+def test_k0_report_beyond_three(tmp_path, capsys):
+    path = tmp_path / "big.kc"
+    path.write_text(
+        "format 1\nfield Q\nvariety pt { vars = []; ideal = [] }\n"
+        "corr P1 : pt -> pt { n = 4; unit = [[1, 0, 0, 0], [0, 1, 0, 0], "
+        "[0, 0, 0, 0], [0, 0, 0, 0]] }\n"
+        "corr P2 : pt -> pt { n = 4; unit = [[0, 0, 0, 0], [0, 1, 0, 0], "
+        "[0, 0, 1/2, 1/2], [0, 0, 1/2, 1/2]] }\n", encoding="utf-8")
+    assert main(["k0", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "rank map: P1=2, P2=2" in out
+    assert "class {P1, P2}" in out
+    assert "brackets coincide" in out
+
+
 def test_compare_bimodule(session_file, capsys):
     assert main(["compare-bimodule", session_file, "G", "G", "[[x]]"]) == 0
     out = capsys.readouterr().out
@@ -114,6 +130,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
     ok = tmp_path / "ok.kc"
     ok.write_text(SESSION, encoding="utf-8")
     assert main(["compose", str(ok), "G", "NOPE"]) == 2
+    # laws option errors end as input errors, in a session and on the command line
+    bad_laws = tmp_path / "badlaws.kc"
+    bad_laws.write_text(SESSION + "laws --cases x\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", str(bad_laws)]) == 2
+    assert main(["laws", "--law", "no-such-family"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: laws:") == 2 and "usage" not in err
 
 
 def test_zero_denominator_in_prime_field_exits_2(tmp_path, capsys):
@@ -127,3 +151,22 @@ def test_zero_denominator_in_prime_field_exits_2(tmp_path, capsys):
 
 def test_debug_validate_flag(session_file):
     assert main(["--debug-validate", "compose", session_file, "G", "G"]) == 0
+
+
+def test_command_table_matches_session_words():
+    assert set(cli.SESSION_COMMANDS) == session.COMMAND_WORDS
+
+
+def _wrong_arity(word):
+    if word in ("run", "print"):
+        return ["extra"]
+    _, lo, hi = cli.SESSION_COMMANDS[word]
+    return ["G"] * (lo - 1 if lo else hi + 1)
+
+
+# every word with a bounded argument count; k0 and laws take any number
+@pytest.mark.parametrize("word", ["run", "print"] + [
+    w for w, (_, lo, hi) in cli.SESSION_COMMANDS.items() if lo or hi is not None])
+def test_wrong_argument_count_exits_2(word, session_file, capsys):
+    assert main([word, session_file] + _wrong_arity(word)) == 2
+    assert f"error: command {word} takes" in capsys.readouterr().err

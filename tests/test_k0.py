@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import field_gauss_rank, field_ops
+from oracles import field_gauss_rank, field_ops, fraction_pair_rank
 from kcorr.corrcat import (IsoCertificate, direct_sum, identity_morphism,
                            make_correspondence, verify_iso, zero_object)
-from kcorr.errors import InvalidCertificate, NotIntegral, UnknownObject
-from kcorr.exactalg import Matrix, PrimeField, QElem, QQ, scalar_value
+from kcorr.errors import InvalidCertificate, NotIntegral, ShapeError, UnknownObject
+from kcorr.exactalg import (Matrix, PrimeField, QElem, QQ, invert_scalar_matrix,
+                            rank_over_fraction_field, scalar_value)
 from kcorr.k0 import (K0Ledger, k0_class, k0_compose, k0_register,
                       k0_register_sum, pt_conjugation_certificate, rank,
                       transport_certificate)
 from kcorr.pairing import compose_objects
-from kcorr.randomgen import GenBounds, derive_seed, random_object
-from kcorr.varieties import make_variety, point
+from kcorr.randomgen import (GenBounds, derive_seed, random_object, random_poly,
+                             random_scalar)
+from kcorr.varieties import gm_power, make_variety, point
 
 PT_BOUNDS = GenBounds(max_n=3, max_deg=1, max_elementary=2, zero_weight=0.05)
 
@@ -66,17 +68,62 @@ def test_rank_matches_gauss_oracle_over_point():
 
 
 def test_conjugation_certificate_search():
+    # the second bound reaches past n = 3: the frames exist at every size
+    for bounds in (PT_BOUNDS, GenBounds(max_n=5, max_deg=1, max_elementary=3,
+                                        zero_weight=0.05)):
+        for field in (QQ, PrimeField(5)):
+            pt = point(field)
+            rng = random.Random(derive_seed("certsearch", field.name, bounds.max_n))
+            for _ in range(40):
+                a = random_object(pt, pt, rng=rng, bounds=bounds)
+                b2 = random_object(pt, pt, rng=rng, bounds=bounds)
+                cert = pt_conjugation_certificate(a, b2)
+                if rank(a) == rank(b2):
+                    assert cert is not None and verify_iso(cert)
+                else:
+                    assert cert is None
+
+
+def _random_poly_matrix(x, rng, nrows, ncols):
+    return Matrix(x.gb, [[x.qelem(random_poly(x, rng, 2, 2)) for _ in range(ncols)]
+                         for _ in range(nrows)], nrows, ncols)
+
+
+@pytest.mark.parametrize("base", ["A1", "Gm1"])
+def test_rank_matches_fraction_pair_oracle(base):
+    bounds = GenBounds(max_n=4, max_deg=2, max_elementary=3, zero_weight=0.05)
     for field in (QQ, PrimeField(5)):
-        pt = point(field)
-        rng = random.Random(derive_seed("certsearch", field.name))
+        x = (make_variety("A1", ["x"], [], field) if base == "A1"
+             else gm_power(1, field))
+        rng = random.Random(derive_seed("fraction-rank", base, field.name))
+        for _ in range(12):
+            obj = random_object(x, point(field), rng=rng, bounds=bounds)
+            assert rank(obj, assume_integral=True) == fraction_pair_rank(obj.p)
+            # U*V with U n x r and V r x n: rank at most r, not an idempotent
+            n, r = rng.randint(1, 4), rng.randint(0, 3)
+            m = _random_poly_matrix(x, rng, n, r) * _random_poly_matrix(x, rng, r, n)
+            assert rank_over_fraction_field(m) == fraction_pair_rank(m) <= r
+
+
+def test_invert_scalar_matrix():
+    for field_label, field in (("Q", QQ), ("F5", PrimeField(5))):
+        b = point(field).gb
+        ops = field_ops(field_label)
+        rng = random.Random(derive_seed("invert", field_label))
         for _ in range(40):
-            a = random_object(pt, pt, rng=rng, bounds=PT_BOUNDS)
-            b2 = random_object(pt, pt, rng=rng, bounds=PT_BOUNDS)
-            cert = pt_conjugation_certificate(a, b2)
-            if rank(a) == rank(b2):
-                assert cert is not None and verify_iso(cert)
+            n = rng.randint(0, 4)
+            values = [[random_scalar(field, rng) for _ in range(n)] for _ in range(n)]
+            m = Matrix(b, [[QElem.const(b, v) for v in row] for row in values], n, n)
+            inv = invert_scalar_matrix(m)
+            if field_gauss_rank(values, ops) == n:
+                assert inv * m == Matrix.identity(b, n) == m * inv
             else:
-                assert cert is None
+                assert inv is None
+        two = QElem.const(b, 2)
+        one = QElem.one(b)
+        assert invert_scalar_matrix(Matrix(b, [[one, two], [two, two * two]])) is None
+        with pytest.raises(ShapeError):
+            invert_scalar_matrix(Matrix.zeros(b, 1, 2))
 
 
 def test_ledger_registration_and_certificates():
