@@ -7,16 +7,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from . import bimod, config, functors, k0 as k0mod, pairing
 from .corrcat import make_corr_morphism
 from .errors import InvalidMorphism, KcorrError, ResolveError, ShapeError
 from .exactalg import parse_field
 from .laws import LAW_NAMES, law_suite
-from .session import (Session, format_corr_block, format_matrix,
-                      format_morphism_block, format_variety_block,
-                      parse_session, print_session, _parse_matrix)
+from .session import (Session, format_decls, parse_session, print_session,
+                      _parse_matrix)
 
 EXIT_OK = 0
 EXIT_LAW_FAILURE = 1
@@ -35,82 +34,67 @@ def _get(session: Session, name: str, kind: str):
     return table[name]
 
 
-def _print_object(out, name, obj, described=None):
-    """Print a corr block plus any variety presentations it references."""
-    described = described if described is not None else set()
-    for v in (obj.X, obj.Y):
-        if v.name not in described:
-            described.add(v.name)
-            out(format_variety_block(v))
-    out(format_corr_block(name, obj))
-    return described
+def _print_declared(out, name, value):
+    """Print ``value`` and what it refers to as the declarations of a session."""
+    result = Session()
+    result.declare(name, value)
+    for line in format_decls(result):
+        out(line)
 
 
-def cmd_validate(session: Session, args, out) -> int:
+def cmd_validate(session: Session, args, out, line) -> int:
     for kind, name in session.decls:
         out(f"ok {kind} {name}")
     out(f"validated {len(session.decls)} declarations")
     return EXIT_OK
 
 
-def cmd_compose(session: Session, args, out) -> int:
+def cmd_compose(session: Session, args, out, line) -> int:
     first = _get(session, args[0], "corrs")
     second = _get(session, args[1], "corrs")
     composite = pairing.compose_objects(first, second)
-    _print_object(out, f"{args[1]}_o_{args[0]}", composite)
+    _print_declared(out, f"{args[1]}_o_{args[0]}", composite)
     return EXIT_OK
 
 
-def cmd_pullback(session: Session, args, out) -> int:
+def cmd_pullback(session: Session, args, out, line) -> int:
     f = _get(session, args[0], "maps")
     obj = _get(session, args[1], "corrs")
-    _print_object(out, f"{args[0]}_pull_{args[1]}", functors.pullback_obj(f, obj))
+    _print_declared(out, f"{args[0]}_pull_{args[1]}", functors.pullback_obj(f, obj))
     return EXIT_OK
 
 
-def cmd_pushforward(session: Session, args, out) -> int:
+def cmd_pushforward(session: Session, args, out, line) -> int:
     g = _get(session, args[0], "maps")
     obj = _get(session, args[1], "corrs")
-    _print_object(out, f"{args[0]}_push_{args[1]}", functors.pushforward_obj(g, obj))
+    _print_declared(out, f"{args[0]}_push_{args[1]}", functors.pushforward_obj(g, obj))
     return EXIT_OK
 
 
-def cmd_box(session: Session, args, out) -> int:
+def cmd_box(session: Session, args, out, line) -> int:
     f = _get(session, args[0], "maps")
     obj = _get(session, args[1], "corrs")
-    _print_object(out, f"{args[0]}_box_{args[1]}", functors.box_product(f, obj))
+    _print_declared(out, f"{args[0]}_box_{args[1]}", functors.box_product(f, obj))
     return EXIT_OK
 
 
-def cmd_rho(session: Session, args, out) -> int:
+def cmd_rho(session: Session, args, out, line) -> int:
     obj = _get(session, args[0], "corrs")
-    aut = functors.to_automorphism_object(obj)
-    described = _print_object(out, f"{args[0]}_base", aut.base)
-    names = []
-    for i, (fwd, bwd) in enumerate(aut.thetas, start=1):
-        out(format_morphism_block(f"{args[0]}_t{i}", fwd,
-                                  f"{args[0]}_base", f"{args[0]}_base"))
-        out(format_morphism_block(f"{args[0]}_s{i}", bwd,
-                                  f"{args[0]}_base", f"{args[0]}_base"))
-        names.append(i)
-    thetas = ", ".join(f"{args[0]}_t{i}" for i in names)
-    invs = ", ".join(f"{args[0]}_s{i}" for i in names)
-    out(f"aut {args[0]}_aut {{ base = {args[0]}_base; "
-        f"theta = [{thetas}]; theta_inv = [{invs}] }}")
+    _print_declared(out, args[0], functors.to_automorphism_object(obj))
     return EXIT_OK
 
 
-def cmd_rho_inv(session: Session, args, out) -> int:
+def cmd_rho_inv(session: Session, args, out, line) -> int:
     aut = _get(session, args[0], "auts")
-    _print_object(out, f"{args[0]}_torus", functors.to_torus_object(aut))
+    _print_declared(out, f"{args[0]}_torus", functors.to_torus_object(aut))
     return EXIT_OK
 
 
-def cmd_compare_bimodule(session: Session, args, out) -> int:
+def cmd_compare_bimodule(session: Session, args, out, line) -> int:
     first = _get(session, args[0], "corrs")
     second = _get(session, args[1], "corrs")
     literal = " ".join(args[2:])
-    mat = _parse_matrix(literal, first.X, 0)
+    mat = _parse_matrix(literal, first.X, line)
     try:
         make_corr_morphism(first, second, mat)
         corr_valid = True
@@ -127,7 +111,7 @@ def cmd_compare_bimodule(session: Session, args, out) -> int:
     return EXIT_OK
 
 
-def cmd_k0(session: Session, args, out) -> int:
+def cmd_k0(session: Session, args, out, line) -> int:
     names = args if args else list(session.corrs)
     groups: dict = {}
     for name in names:
@@ -139,9 +123,7 @@ def cmd_k0(session: Session, args, out) -> int:
         by_id = {}
         for name, obj in members:
             by_id[ledger.register(obj)] = name
-        searchable = (not x.vars and not x.ideal_gens
-                      and not y.vars and not y.ideal_gens)
-        if searchable:
+        if x.is_point() and y.is_point():
             for i, j in combinations(sorted(by_id), 2):
                 cert = k0mod.pt_conjugation_certificate(ledger.object_of(i),
                                                         ledger.object_of(j))
@@ -191,7 +173,7 @@ LAWS_PARSER.add_argument("--format", dest="fmt", default="text",
 LAWS_PARSER.add_argument("--law", action="append", choices=LAW_NAMES)
 
 
-def cmd_laws(session, args, out) -> int:
+def cmd_laws(session, args, out, line) -> int:
     opts = LAWS_PARSER.parse_args(args)
     fields = (parse_field(opts.field),) if opts.field else None
     report = law_suite(opts.seed, opts.cases, fields=fields, laws=opts.law)
@@ -213,22 +195,25 @@ SESSION_COMMANDS = {
 }
 
 
-def execute_command(session: Session | None, word: str, args, out) -> int:
+def execute_command(session: Session | None, word: str, args, out,
+                    line: int | None = None) -> int:
+    """Run one command; ``line`` is its session line, None on the command line."""
     if word not in SESSION_COMMANDS:
         raise ResolveError(f"unknown command {word!r}")
     handler, min_args, max_args = SESSION_COMMANDS[word]
     if len(args) < min_args or (max_args is not None and len(args) > max_args):
         raise ResolveError(f"command {word} takes "
                            f"{min_args}{'+' if max_args is None else ''} arguments")
-    return handler(session, args, out)
+    return handler(session, args, out, line)
 
 
 def run_session(session: Session, out) -> int:
     code = EXIT_OK
-    for line in session.commands:
-        out(f"> {line}")
-        word, *args = line.split()
-        code = max(code, execute_command(session, word, args, out))
+    # a session built in code may list commands without their lines
+    for command, line in zip_longest(session.commands, session.command_lines):
+        out(f"> {command}")
+        word, *args = command.split()
+        code = max(code, execute_command(session, word, args, out, line))
     return code
 
 

@@ -106,9 +106,6 @@ class GroebnerBasis:
             return f
         return reduce_poly(f, self.gens)
 
-    def contains(self, f: Poly) -> bool:
-        return self.normal_form(f).is_zero()
-
     def __eq__(self, other):
         if self is other:
             return True

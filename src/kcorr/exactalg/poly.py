@@ -56,10 +56,6 @@ def mono_coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def mono_deg(a):
-    return sum(a)
-
-
 class Ambient:
     """A variable list, a coefficient field and a monomial order."""
 
@@ -167,9 +163,6 @@ class Poly:
 
     def leading_coefficient(self):
         return self.sorted_terms()[0][1]
-
-    def total_degree(self) -> int:
-        return max((mono_deg(m) for m in self.terms), default=0)
 
     # arithmetic ---------------------------------------------------------
 

@@ -69,17 +69,6 @@ class QElem:
     def scale(self, c) -> "QElem":
         return QElem(self.basis, self.rep.scale(c), reduced=True)
 
-    def __pow__(self, e: int) -> "QElem":
-        result = QElem.one(self.basis)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 

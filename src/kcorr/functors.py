@@ -20,7 +20,7 @@ from .corrcat import (CorrMorphism, CorrObject, eval_nonunital, graph_object,
 from .errors import InternalLawViolation, InvalidArity, InvalidCertificate, ShapeError
 from .pairing import compose_objects, compose_morphisms
 from .varieties import (AffVariety, VarMorphism, gm_power, point, product,
-                        product_of, split_projections, torus_arity, _flatten)
+                        product_of, split_projections, torus_arity)
 
 
 def pullback_obj(f: VarMorphism, obj: CorrObject) -> CorrObject:

@@ -36,10 +36,6 @@ def rank(obj: CorrObject, assume_integral: bool = False) -> int:
     return rank_over_fraction_field(obj.p)
 
 
-def _is_point_like(v) -> bool:
-    return not v.vars and not v.ideal_gens
-
-
 def pt_conjugation_certificate(a: CorrObject, b: CorrObject) -> IsoCertificate | None:
     """Search for an isomorphism between objects over a point base.
 
@@ -49,7 +45,7 @@ def pt_conjugation_certificate(a: CorrObject, b: CorrObject) -> IsoCertificate |
     differ.  Returns None when the ranks differ.  Over (pt, pt) the entries
     are scalars, so the frames exist at every n and the search is exact.
     """
-    if not (_is_point_like(a.X) and _is_point_like(a.Y)):
+    if not (a.X.is_point() and a.Y.is_point()):
         raise AmbientMismatch("conjugation search is only available over (pt, pt)")
     if a.X != b.X or a.Y != b.Y:
         raise AmbientMismatch("objects over different (X, Y)")
@@ -140,9 +136,6 @@ class K0Ledger:
         if idx is None:
             raise UnknownObject(f"{obj!r} was never registered")
         return idx
-
-    def __len__(self):
-        return len(self._objects)
 
     # union-find -----------------------------------------------------------
 

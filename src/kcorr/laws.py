@@ -2,8 +2,9 @@
 
 Fourteen law families run over both supported fields on seeded random data;
 every check is an exact data equality, so a single failing case falsifies
-the implementation.  Failures carry the seed, the case index and serialized
-inputs, which is enough to replay a case in isolation.
+the implementation.  Failures carry the seed, the case index and the inputs
+of the failing check as a session (``serialize_case``), which ``kcorr print``
+and ``kcorr run`` accept unless an input lives over a product variety.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .corrcat import (add_morphisms, compose_vertical, graph_object,
                       identity_morphism, identity_object, scale_morphism,
-                      zero_morphism, zero_object)
+                      zero_morphism)
 from .errors import KcorrError
 from .exactalg import Field, PrimeField, QQ
 from . import bimod
@@ -23,11 +24,10 @@ from . import functors
 from . import pairing
 from .randomgen import (GenBounds, derive_seed, random_aut_object,
                         random_endo_matrix, random_morphism_from,
-                        random_object, random_conjugator, conjugate_object,
-                        sample_map)
-from .session import format_corr_block, format_field, format_matrix, format_variety_block
+                        random_object, sample_map)
+from .session import Session, format_decls, format_field
 from .varieties import (compose_maps, gm_power, identity_map, make_variety,
-                        point, product, product_morphism)
+                        point, product_morphism)
 
 LAW_BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.05)
 
@@ -125,42 +125,18 @@ class LawReport:
 # -- case serialization -------------------------------------------------------
 
 
-def _describe(name, value, field) -> list:
-    lines = []
-    if hasattr(value, "gen_images"):  # CorrObject
-        lines.append(format_variety_block(value.X))
-        lines.append(format_variety_block(value.Y))
-        lines.append(format_corr_block(name, value))
-    elif hasattr(value, "mat"):  # CorrMorphism
-        lines.extend(_describe(f"{name}_src", value.src, field))
-        lines.extend(_describe(f"{name}_dst", value.dst, field))
-        lines.append(f"# {name}: matrix = {format_matrix(value.mat)}")
-    elif hasattr(value, "images"):  # VarMorphism
-        body = "; ".join(f"{v} = {img}" for v, img in
-                         zip(value.target.vars, value.images))
-        lines.append(f"map {name} : {value.source.name} -> {value.target.name} "
-                     f"{{ {body} }}")
-    elif hasattr(value, "thetas"):  # AutObject
-        lines.extend(_describe(f"{name}_base", value.base, field))
-        for i, (fwd, _) in enumerate(value.thetas):
-            lines.append(f"# {name}.theta{i + 1} = {format_matrix(fwd.mat)}")
-    elif hasattr(value, "root"):  # BigBimodule
-        lines.append(f"# {name}: big bimodule at {value.base_variety.name}, "
-                     f"root over {value.root.ambient.name}")
-    else:
-        lines.append(f"# {name} = {value!r}")
-    return lines
-
-
 def serialize_case(inputs: dict, field) -> str:
-    lines = [format_field(field)]
-    seen = set()
+    """The inputs of a case as a session: the field line, then each input
+    declared by ``Session.declare`` under its keyword name.
+
+    ``parse_session`` reads the text back with every input equal to the
+    original, except inputs over product varieties: their variables contain
+    the reserved ``.``, which session declarations reject.
+    """
+    session = Session(field=field)
     for name, value in inputs.items():
-        for line in _describe(name, value, field):
-            if line not in seen:
-                seen.add(line)
-                lines.append(line)
-    return "\n".join(lines)
+        session.declare(name, value)
+    return "\n".join([format_field(field), *format_decls(session)])
 
 
 class Ctx:
@@ -509,10 +485,6 @@ LAW_FAMILIES = (
 LAW_NAMES = tuple(name for name, _ in LAW_FAMILIES)
 
 
-def _field_label(f: Field) -> str:
-    return f.name
-
-
 def law_suite(seed: int, cases: int, fields=None,
               bounds: GenBounds = LAW_BOUNDS, laws=None) -> LawReport:
     """Run every law family on ``cases`` random instances per field."""
@@ -522,7 +494,7 @@ def law_suite(seed: int, cases: int, fields=None,
         fields = (PrimeField(5), QQ)
     selected = [(n, f) for n, f in LAW_FAMILIES if laws is None or n in laws]
     report = LawReport(seed=seed, cases=cases,
-                       fields=tuple(_field_label(f) for f in fields))
+                       fields=tuple(f.name for f in fields))
     start = time.perf_counter()
     for law_name, law_fn in selected:
         for field in fields:

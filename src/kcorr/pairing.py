@@ -140,17 +140,6 @@ def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> Corr
         raise InternalLawViolation(f"composite morphism failed validation: {exc}") from exc
 
 
-def compose_iso(second_cert: IsoCertificate, first_cert: IsoCertificate) -> IsoCertificate:
-    """Pairing of certificates; verified before returning."""
-    cert = IsoCertificate(
-        fwd=compose_morphisms(second_cert.fwd, first_cert.fwd),
-        bwd=compose_morphisms(second_cert.bwd, first_cert.bwd),
-    )
-    if not verify_iso(cert):
-        raise InternalLawViolation("pairing of certificates lost invertibility")
-    return cert
-
-
 def strict_associativity_check(phi1: CorrObject, phi2: CorrObject,
                                phi3: CorrObject) -> bool:
     """Both association orders of a composable triple are data-identical."""

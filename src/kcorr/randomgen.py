@@ -19,7 +19,7 @@ from itertools import product as iter_product
 from .corrcat import (CorrMorphism, CorrObject, make_corr_morphism,
                       make_correspondence, zero_object)
 from .errors import GenerationFailed
-from .exactalg import Matrix, Poly, QElem
+from .exactalg import Ambient, Matrix, Poly, QElem
 from .functors import AutObject, make_aut_object
 from .varieties import AffVariety, VarMorphism, make_morphism
 
@@ -74,30 +74,16 @@ _scalar_point_cache: dict = {}
 
 def _scalar_points(y: AffVariety):
     """All target points with coordinates in the small scalar sample pool."""
-    key = y
-    cached = _scalar_point_cache.get(key)
+    cached = _scalar_point_cache.get(y)
     if cached is not None:
         return cached
-    field = y.field
-    pool = field.elements_sample()
+    scalars = Ambient((), y.field, y.order)
     points = []
-    for combo in iter_product(pool, repeat=len(y.vars)):
-        values = dict(zip(y.vars, combo))
-        ok = True
-        for gen in y.ideal_gens:
-            total = field.zero
-            for mono, coeff in gen.terms.items():
-                term = coeff
-                for v, e in zip(y.vars, mono):
-                    for _ in range(e):
-                        term = field.mul(term, values[v])
-                total = field.add(total, term)
-            if total:
-                ok = False
-                break
-        if ok:
+    for combo in iter_product(y.field.elements_sample(), repeat=len(y.vars)):
+        values = {v: Poly.const(scalars, c) for v, c in zip(y.vars, combo)}
+        if all(g.substitute(values, scalars).is_zero() for g in y.ideal_gens):
             points.append(combo)
-    _scalar_point_cache[key] = points
+    _scalar_point_cache[y] = points
     return points
 
 

@@ -4,7 +4,8 @@ A session declares a field, varieties, variety maps, correspondences,
 morphisms and automorphism tuples, then lists commands.  Declarations are
 validated in file order, so every reference must point backwards.  Printing
 is canonical (normal-form entries, fixed layout) and ``parse(print(s))``
-reproduces the session exactly.
+reproduces the session exactly.  ``Session.declare`` adds values built in
+code, so CLI results and law-failure inputs print as sessions too.
 """
 
 from __future__ import annotations
@@ -36,30 +37,60 @@ class Session:
     aut_specs: dict = dc_field(default_factory=dict)
     decls: list = dc_field(default_factory=list)  # (kind, name) in file order
     commands: list = dc_field(default_factory=list)
-
-    def __eq__(self, other):
-        if not isinstance(other, Session):
-            return NotImplemented
-        return (self.field == other.field and self.varieties == other.varieties
-                and self.maps == other.maps and self.corrs == other.corrs
-                and self.morphisms == other.morphisms and self.auts == other.auts
-                and self.aut_specs == other.aut_specs and self.decls == other.decls
-                and self.commands == other.commands)
+    # the source line of each command, for error messages; not part of equality
+    command_lines: list = dc_field(default_factory=list, compare=False)
 
     def _namespace(self):
-        names = {}
-        for kind in ("varieties", "maps", "corrs", "morphisms", "auts"):
-            for name in getattr(self, kind):
-                names[name] = kind
-        return names
+        return {name for table in _TABLES.values() for name in getattr(self, table)}
 
-    def lookup(self, name: str, kinds=("varieties", "maps", "corrs",
-                                       "morphisms", "auts")):
-        for kind in kinds:
-            table = getattr(self, kind)
-            if name in table:
-                return kind, table[name]
-        raise ResolveError(f"unknown name {name!r}")
+    def register(self, kind: str, name: str, value):
+        """Store a declared value in its table and record it in file order."""
+        getattr(self, _TABLES[kind])[name] = value
+        self.decls.append((kind, name))
+
+    def declare(self, name: str, value):
+        """Declare a built value under ``name``, after what it refers to.
+
+        A variety is declared under its own name, once.  A morphism ``m``
+        declares its endpoints as ``m_src`` and ``m_dst``.  An ``AutObject``
+        under prefix ``P`` declares ``P_base``, then ``P_t{i}`` and ``P_s{i}``,
+        then the aut ``P_aut``.
+        """
+        if isinstance(value, AffVariety):
+            known = self.varieties.get(value.name)
+            if known is None:
+                self.register("variety", value.name, value)
+            elif known != value:
+                raise ResolveError(f"two different varieties named {value.name!r}")
+        elif isinstance(value, VarMorphism):
+            self.declare(value.source.name, value.source)
+            self.declare(value.target.name, value.target)
+            self.register("map", name, value)
+        elif isinstance(value, CorrObject):
+            self.declare(value.X.name, value.X)
+            self.declare(value.Y.name, value.Y)
+            self.register("corr", name, value)
+        elif isinstance(value, CorrMorphism):
+            self.declare(f"{name}_src", value.src)
+            self.declare(f"{name}_dst", value.dst)
+            self.register("morphism", name, value)
+        elif isinstance(value, AutObject):
+            base = f"{name}_base"
+            self.declare(base, value.base)
+            thetas, invs = [], []
+            for i, (fwd, bwd) in enumerate(value.thetas, start=1):
+                thetas.append(f"{name}_t{i}")
+                invs.append(f"{name}_s{i}")
+                self.register("morphism", thetas[-1], fwd)
+                self.register("morphism", invs[-1], bwd)
+            self.register("aut", f"{name}_aut", value)
+            self.aut_specs[f"{name}_aut"] = (base, tuple(thetas), tuple(invs))
+        else:
+            raise TypeError(f"cannot declare a {type(value).__name__}")
+
+
+_TABLES = {"variety": "varieties", "map": "maps", "corr": "corrs",
+           "morphism": "morphisms", "aut": "auts"}
 
 
 # -- low-level text helpers -------------------------------------------------
@@ -156,8 +187,7 @@ def _declare_variety(session, header, body, line):
     variety = make_variety(name, var_names, [], session.field)
     gens = [parse_poly(g, variety.ambient, line)
             for g in _parse_bracket_list(fields.get("ideal", "[]"), line)]
-    session.varieties[name] = make_variety(name, var_names, gens, session.field)
-    session.decls.append(("variety", name))
+    session.register("variety", name, make_variety(name, var_names, gens, session.field))
 
 
 def _declare_map(session, header, body, line):
@@ -176,8 +206,7 @@ def _declare_map(session, header, body, line):
     if assignments:
         raise ParseError(f"map {name!r} assigns unknown variables {sorted(assignments)}",
                          line, 1)
-    session.maps[name] = make_morphism(src, dst, images)
-    session.decls.append(("map", name))
+    session.register("map", name, make_morphism(src, dst, images))
 
 
 def _declare_corr(session, header, body, line):
@@ -209,8 +238,7 @@ def _declare_corr(session, header, body, line):
     if gens:
         raise ParseError(f"corr {name!r} has gens for unknown variables {sorted(gens)}",
                          line, 1)
-    session.corrs[name] = make_correspondence(x, y, n, unit, images)
-    session.decls.append(("corr", name))
+    session.register("corr", name, make_correspondence(x, y, n, unit, images))
 
 
 def _declare_morphism(session, header, body, line):
@@ -227,8 +255,7 @@ def _declare_morphism(session, header, body, line):
     mat = _parse_matrix(fields["matrix"], src.X, line)
     if mat.nrows == 0 and mat.ncols == 0 and (dst.n == 0 or src.n == 0):
         mat = Matrix.zeros(src.X.gb, dst.n, src.n)
-    session.morphisms[name] = make_corr_morphism(src, dst, mat)
-    session.decls.append(("morphism", name))
+    session.register("morphism", name, make_corr_morphism(src, dst, mat))
 
 
 def _declare_aut(session, header, body, line):
@@ -254,9 +281,8 @@ def _declare_aut(session, header, body, line):
             raise ResolveError(f"aut {name!r} references undeclared morphism "
                                f"(line {line})")
         pairs.append((fwd, bwd))
-    session.auts[name] = make_aut_object(base, pairs)
+    session.register("aut", name, make_aut_object(base, pairs))
     session.aut_specs[name] = (base_name, tuple(theta_names), tuple(inv_names))
-    session.decls.append(("aut", name))
 
 
 _DECL_HANDLERS = {
@@ -323,6 +349,7 @@ def parse_session(text: str) -> Session:
             continue
         if word in COMMAND_WORDS:
             session.commands.append(" ".join(raw.split()))
+            session.command_lines.append(line_no)
             continue
         raise ParseError(f"unknown statement {word!r}", line_no, 1)
     return session
@@ -370,8 +397,9 @@ def format_morphism_block(name: str, mor: CorrMorphism, src_name: str,
             f"{{ matrix = {format_matrix(mor.mat)} }}")
 
 
-def print_session(session: Session) -> str:
-    lines = [f"format {FORMAT_VERSION}", format_field(session.field)]
+def format_decls(session: Session) -> list:
+    """The declaration lines of a session, in declaration order."""
+    lines = []
     corr_names = {}
     for name, obj in session.corrs.items():
         corr_names.setdefault(obj, name)
@@ -393,5 +421,10 @@ def print_session(session: Session) -> str:
                 f"aut {name} {{ base = {base_name}; "
                 f"theta = [{', '.join(thetas)}]; "
                 f"theta_inv = [{', '.join(invs)}] }}")
-    lines.extend(session.commands)
+    return lines
+
+
+def print_session(session: Session) -> str:
+    lines = [f"format {FORMAT_VERSION}", format_field(session.field),
+             *format_decls(session), *session.commands]
     return "\n".join(lines) + "\n"

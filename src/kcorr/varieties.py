@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .errors import (AmbientMismatch, FieldMismatch, InvalidArity,
                      NotWellDefined, ShapeError, UnknownVariable)
-from .exactalg import (DEGREVLEX, Ambient, Field, GroebnerBasis, Matrix, Poly,
-                       QElem, buchberger, parse_poly)
+from .exactalg import (DEGREVLEX, Ambient, Field, Matrix, Poly, QElem,
+                       buchberger, parse_poly)
 
 SEPARATOR = "."
 

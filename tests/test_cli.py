@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from kcorr import cli, session
@@ -147,6 +149,41 @@ def test_zero_denominator_in_prime_field_exits_2(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and "denominator" in err
+
+
+def test_command_errors_name_their_session_line(tmp_path, capsys, session_file):
+    path = tmp_path / "badmatrix.kc"
+    path.write_text(SESSION + "compare-bimodule G G [[x, 0]\n", encoding="utf-8")
+    assert SESSION.count("\n") == 16  # so the command sits on line 17
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 17, col 1: unbalanced brackets\n"
+    # on the command line there is no session line to name
+    assert main(["compare-bimodule", session_file, "G", "G", "[[x, 0]"]) == 2
+    assert capsys.readouterr().err == "error: unbalanced brackets\n"
+    s = session.parse_session(path.read_text(encoding="utf-8"))
+    assert s.command_lines == [17]
+    assert session.parse_session(session.print_session(s)) == s
+
+
+def test_printed_results_reparse(session_file, capsys):
+    """compose, pullback and rho print sessions that parse back."""
+    for argv in (["compose", session_file, "G", "G"],
+                 ["pullback", session_file, "ev0", "G"],
+                 ["rho", session_file, "TOR"]):
+        assert main(argv) == 0
+        printed = session.parse_session("field Q\n" + capsys.readouterr().out)
+        assert printed.decls
+    assert printed.auts["TOR_aut"].arity == 1
+
+
+def test_tour_example_runs_and_is_the_readme_example(capsys):
+    root = Path(__file__).resolve().parents[1]
+    tour = root / "examples" / "tour.kc"
+    assert main(["run", str(tour)]) == 0
+    assert "corr PSI_o_PHI : pt -> pt" in capsys.readouterr().out
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert "```\n" + tour.read_text(encoding="utf-8") + "```" in readme
 
 
 def test_debug_validate_flag(session_file):

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from kcorr import pairing
+from kcorr import laws, pairing
+from kcorr.corrcat import CorrMorphism, CorrObject
 from kcorr.exactalg import Matrix, PrimeField, QQ
 from kcorr.laws import LAW_NAMES, law_suite
+from kcorr.session import parse_session
 
 
 def test_fourteen_families():
@@ -83,6 +85,32 @@ def test_failure_reports_carry_reproduction_data(monkeypatch):
     assert failure.inputs.startswith("field Fp 5")
     assert "corr" in failure.inputs
     assert "--- failure:" in text
+
+
+def test_failure_inputs_are_runnable_sessions(monkeypatch):
+    cases = []
+    original = laws.serialize_case
+
+    def recording(inputs, field):
+        text = original(inputs, field)
+        cases.append((inputs, text))
+        return text
+
+    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    monkeypatch.setattr(laws, "serialize_case", recording)
+    report = law_suite(seed=42, cases=25, fields=(PrimeField(5),),
+                       laws=("pairing-bifunctor",))
+    assert [f.inputs for f in report.failures] == [text for _, text in cases]
+    assert any(isinstance(v, CorrMorphism)
+               for inputs, _ in cases for v in inputs.values())
+    for inputs, text in cases:
+        s = parse_session(text)
+        assert s.field == PrimeField(5)
+        for name, value in inputs.items():
+            if isinstance(value, CorrObject):
+                assert s.corrs[name] == value
+            else:
+                assert s.morphisms[name] == value
 
 
 def test_cases_must_be_positive():

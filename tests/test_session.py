@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
 from kcorr.errors import (InvalidObject, ParseError, ResolveError)
 from kcorr.exactalg import PrimeField, QQ
+from kcorr.laws import serialize_case
+from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
+                             random_morphism_from, random_object, sample_map)
 from kcorr.session import Session, parse_session, print_session
+from kcorr.varieties import gm_power, make_variety, point
 
 TWOPTS_FIXTURE = """
 format 1
@@ -110,3 +116,55 @@ def test_zero_object_blocks():
 def test_field_must_precede_declarations():
     with pytest.raises(ParseError, match="precede"):
         parse_session("variety V { vars = []; ideal = [] }\nfield Q\n")
+
+
+def _pool(field):
+    return (point(field), make_variety("A1", ["x"], [], field),
+            make_variety("TwoPts", ["y"], ["y^2 - y"], field), gm_power(1, field))
+
+
+SMALL = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_map_and_aut_inputs_round_trip_through_serialize_case(field):
+    pt, line, twopts, gm = _pool(field)
+    rng = random.Random(derive_seed("serialize", field.name))
+    f = sample_map(line, gm, rng, 1)
+    aut = random_aut_object(gm, twopts, 2, rng=rng, bounds=SMALL)
+    s = parse_session(serialize_case({"f": f, "aut": aut}, field))
+    assert s.maps["f"] == f
+    assert s.auts["aut_aut"] == aut
+    assert s.aut_specs["aut_aut"] == ("aut_base", ("aut_t1", "aut_t2"),
+                                      ("aut_s1", "aut_s2"))
+    assert [k for k, _ in s.decls] == ["variety", "variety", "map", "variety",
+                                       "corr", "morphism", "morphism",
+                                       "morphism", "morphism", "aut"]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("seed", range(3))
+def test_declared_random_values_round_trip(field, seed):
+    pool = _pool(field)
+    rng = random.Random(derive_seed("declare", field.name, seed))
+    s = Session(field=field)
+    for i in range(4):
+        x, y = rng.choice(pool), rng.choice(pool)
+        obj = random_object(x, y, rng=rng, bounds=SMALL)
+        s.declare(f"C{i}", obj)
+        s.declare(f"M{i}", random_morphism_from(obj, rng, SMALL))
+        s.declare(f"F{i}", sample_map(x, y, rng, 1))
+        s.declare(f"R{i}", random_aut_object(x, rng.choice(pool[:3]), 1, rng=rng,
+                                             bounds=SMALL))
+    assert set(s.varieties) <= {v.name for v in pool}
+    printed = print_session(s)
+    assert parse_session(printed) == s
+    assert print_session(parse_session(printed)) == printed
+
+
+def test_declare_rejects_two_varieties_with_one_name():
+    s = Session()
+    s.declare("A1", make_variety("A1", ["x"], [], QQ))
+    with pytest.raises(ResolveError, match="two different varieties"):
+        s.declare("f", sample_map(point(QQ), make_variety("A1", ["y"], [], QQ),
+                                  random.Random(0)))
