@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import combinations, zip_longest
+from itertools import combinations
 
 from . import bimod, config, functors, k0 as k0mod, pairing
 from .corrcat import make_corr_morphism
@@ -209,8 +209,7 @@ def execute_command(session: Session | None, word: str, args, out,
 
 def run_session(session: Session, out) -> int:
     code = EXIT_OK
-    # a session built in code may list commands without their lines
-    for command, line in zip_longest(session.commands, session.command_lines):
+    for command, line in zip(session.commands, session.command_lines):
         out(f"> {command}")
         word, *args = command.split()
         code = max(code, execute_command(session, word, args, out, line))

@@ -40,11 +40,13 @@ class Session:
     # the source line of each command, for error messages; not part of equality
     command_lines: list = dc_field(default_factory=list, compare=False)
 
-    def _namespace(self):
-        return {name for table in _TABLES.values() for name in getattr(self, table)}
+    def is_declared(self, name: str) -> bool:
+        return any(name in getattr(self, table) for table in _TABLES.values())
 
     def register(self, kind: str, name: str, value):
         """Store a declared value in its table and record it in file order."""
+        if self.is_declared(name):
+            raise ResolveError(f"name {name!r} is already declared")
         getattr(self, _TABLES[kind])[name] = value
         self.decls.append((kind, name))
 
@@ -165,7 +167,7 @@ def _parse_body(body: str, line: int):
 
 
 def _expect_unique(session: Session, name: str, line: int):
-    if name in session._namespace():
+    if session.is_declared(name):
         raise ParseError(f"name {name!r} is already declared", line, 1)
 
 

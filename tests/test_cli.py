@@ -177,6 +177,20 @@ def test_printed_results_reparse(session_file, capsys):
     assert printed.auts["TOR_aut"].arity == 1
 
 
+def test_result_name_clash_is_an_input_error(tmp_path, capsys):
+    """rho T declares T_base; a session variety of that name cannot be reused."""
+    path = tmp_path / "clash.kc"
+    path.write_text("format 1\nfield Q\n"
+                    "variety T_base { vars = []; ideal = [] }\n"
+                    "variety Gm1 { vars = [t1, s1]; ideal = [t1*s1 - 1] }\n"
+                    "corr T : T_base -> Gm1 { n = 1; unit = [[1]]; "
+                    "gen t1 = [[3]]; gen s1 = [[1/3]] }\n", encoding="utf-8")
+    assert main(["rho", str(path), "T"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: name 'T_base' is already declared\n"
+
+
 def test_tour_example_runs_and_is_the_readme_example(capsys):
     root = Path(__file__).resolve().parents[1]
     tour = root / "examples" / "tour.kc"

@@ -168,3 +168,17 @@ def test_declare_rejects_two_varieties_with_one_name():
     with pytest.raises(ResolveError, match="two different varieties"):
         s.declare("f", sample_map(point(QQ), make_variety("A1", ["y"], [], QQ),
                                   random.Random(0)))
+
+
+def test_register_rejects_a_used_name():
+    s = Session()
+    pt = point(QQ)
+    obj = random_object(pt, pt, rng=random.Random(0), bounds=SMALL)
+    s.declare("C", obj)
+    s.declare("pt", pt)  # the same variety again is not a new declaration
+    for name, value in (("C", obj), ("C", sample_map(pt, pt, random.Random(1))),
+                        ("V", make_variety("C", [], [], QQ))):
+        with pytest.raises(ResolveError, match="already declared"):
+            s.declare(name, value)
+    assert s.decls == [("variety", "pt"), ("corr", "C")]
+    assert parse_session(print_session(s)) == s
