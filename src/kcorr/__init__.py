@@ -3,7 +3,7 @@ over presented affine varieties: composition pairing, functorial calculus,
 bimodule comparison, a certificate-driven K0, and a randomized law harness
 checking every categorical identity as an equality of normal forms."""
 
-from .config import debug_validation, set_debug_validation
+from .config import debug_validation
 from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, add_morphisms,
                       compose_vertical, direct_sum, eval_nonunital,
                       graph_object, identity_morphism, identity_object,

@@ -6,16 +6,17 @@ matrices.  Morphism validity on the bimodule side is the same corner and
 intertwining condition, checked independently here so the two predicates can
 be compared.  Big bimodules key every pullback by the normal form of the
 composite base-change morphism, so chains of pullbacks agree on the nose
-with the pullback along the composite.
+with the pullback along the composite; the functor layer does the transport.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corrcat import CorrObject, _check_object_data, corner_eval, make_correspondence
+from .corrcat import CorrObject, _check_object_data, _trusted_object
 from .errors import AmbientMismatch, ShapeError
 from .exactalg import Matrix
+from .functors import pullback_obj, pushforward_obj
 from .varieties import AffVariety, VarMorphism, compose_maps, identity_map, product
 
 
@@ -40,18 +41,19 @@ def make_presentation(X: AffVariety, Y: AffVariety, n: int, proj: Matrix,
     """Validated presentation; the X-actions are derived, not supplied."""
     y_actions = tuple(y_actions)
     _check_object_data(X, Y, n, proj, y_actions)
-    x_actions = tuple(proj.scale_elem(X.var(v)) for v in X.vars)
-    return BimodulePresentation(X, Y, product(X, Y), n, proj, x_actions, y_actions)
+    return to_bimodule(CorrObject(X, Y, n, proj, y_actions))
 
 
 def to_bimodule(obj: CorrObject) -> BimodulePresentation:
-    """Repackage a correspondence as its bimodule presentation."""
-    return make_presentation(obj.X, obj.Y, obj.n, obj.p, obj.gen_images)
+    """Repackage a (valid) correspondence as its bimodule presentation."""
+    x_actions = tuple(obj.p.scale_elem(obj.X.var(v)) for v in obj.X.vars)
+    return BimodulePresentation(obj.X, obj.Y, product(obj.X, obj.Y), obj.n,
+                                obj.p, x_actions, obj.gen_images)
 
 
 def from_bimodule(pres: BimodulePresentation) -> CorrObject:
     """The constructive inverse: re-tag the presentation as a correspondence."""
-    return make_correspondence(pres.X, pres.Y, pres.n, pres.proj, pres.y_actions)
+    return _trusted_object(pres.X, pres.Y, pres.n, pres.proj, pres.y_actions)
 
 
 def bimodule_hom_valid(p: BimodulePresentation, q: BimodulePresentation,
@@ -81,18 +83,6 @@ def bimodule_hom_valid(p: BimodulePresentation, q: BimodulePresentation,
 
 
 # -- strictly functorial pullback layer -----------------------------------
-
-
-def _pull_presentation(g: VarMorphism, pres: BimodulePresentation) -> BimodulePresentation:
-    return make_presentation(g.source, pres.Y, pres.n, g.pull_matrix(pres.proj),
-                             tuple(g.pull_matrix(a) for a in pres.y_actions))
-
-
-def _push_presentation(h: VarMorphism, pres: BimodulePresentation) -> BimodulePresentation:
-    powers: dict = {}
-    actions = tuple(corner_eval(pres.proj, pres.y_actions, img.rep, powers)
-                    for img in h.images)
-    return make_presentation(pres.X, h.target, pres.n, pres.proj, actions)
 
 
 class BigBimodule:
@@ -149,7 +139,7 @@ def restrict_base(big: BigBimodule) -> BimodulePresentation:
         if big.morphism == identity_map(big.root.X):
             cached = big.root
         else:
-            cached = _pull_presentation(big.morphism, big.root)
+            cached = to_bimodule(pullback_obj(big.morphism, from_bimodule(big.root)))
         big._cache[key] = cached
     return cached
 
@@ -171,6 +161,7 @@ def big_pushforward(h: VarMorphism, big: BigBimodule) -> BigBimodule:
         raise AmbientMismatch(
             f"pushforward morphism starts at {h.source.name}, object over "
             f"{big.root.Y.name}")
-    result = BigBimodule(_push_presentation(h, big.root), big.morphism)
+    result = BigBimodule(to_bimodule(pushforward_obj(h, from_bimodule(big.root))),
+                         big.morphism)
     restrict_base(result)
     return result

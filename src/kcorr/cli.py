@@ -11,7 +11,7 @@ from itertools import combinations
 
 from . import bimod, config, functors, k0 as k0mod, pairing
 from .corrcat import make_corr_morphism
-from .errors import InvalidMorphism, KcorrError, ResolveError, ShapeError
+from .errors import KcorrError, ResolveError
 from .exactalg import parse_field
 from .laws import LAW_NAMES, law_suite
 from .session import (Session, format_decls, parse_session, print_session,
@@ -94,16 +94,17 @@ def cmd_compare_bimodule(session: Session, args, out, line) -> int:
     first = _get(session, args[0], "corrs")
     second = _get(session, args[1], "corrs")
     literal = " ".join(args[2:])
-    mat = _parse_matrix(literal, first.X, line)
+    literal_col = len(" ".join(["compare-bimodule", *args[:2]])) + 1
+    mat = _parse_matrix((literal, literal_col), first.X, line)
     try:
         make_corr_morphism(first, second, mat)
         corr_valid = True
-    except (InvalidMorphism, ShapeError, KcorrError):
+    except KcorrError:
         corr_valid = False
     try:
         bim_valid = bimod.bimodule_hom_valid(bimod.to_bimodule(first),
                                              bimod.to_bimodule(second), mat)
-    except (ShapeError, KcorrError):
+    except KcorrError:
         bim_valid = False
     out(f"correspondence-hom: {'valid' if corr_valid else 'invalid'}")
     out(f"bimodule-hom:       {'valid' if bim_valid else 'invalid'}")
@@ -249,26 +250,24 @@ def main(argv=None) -> int:
     opts = parser.parse_args(argv)
     word, args = opts.command, opts.args
     out = print
-    config.set_debug_validation(opts.debug_validate)
-    try:
-        if word == "laws":
-            return execute_command(None, word, args, out)
-        if not args:
-            raise ResolveError(f"command {word} needs a SESSION file")
-        if word in ("run", "print") and len(args) > 1:
-            raise ResolveError(f"command {word} takes 0 arguments")
-        session = _load_session(args[0])
-        if word == "run":
-            return run_session(session, out)
-        if word == "print":
-            sys.stdout.write(print_session(session))
-            return EXIT_OK
-        return execute_command(session, word, args[1:], out)
-    except (OSError, KcorrError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    finally:
-        config.set_debug_validation(False)
+    with config.debug_validation(opts.debug_validate):
+        try:
+            if word == "laws":
+                return execute_command(None, word, args, out)
+            if not args:
+                raise ResolveError(f"command {word} needs a SESSION file")
+            if word in ("run", "print") and len(args) > 1:
+                raise ResolveError(f"command {word} takes 0 arguments")
+            session = _load_session(args[0])
+            if word == "run":
+                return run_session(session, out)
+            if word == "print":
+                sys.stdout.write(print_session(session))
+                return EXIT_OK
+            return execute_command(session, word, args[1:], out)
+        except (OSError, KcorrError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Global validation switch.
 
-Release mode validates values only when they are constructed.  Debug mode
-additionally re-checks closure properties after every derived operation and
-cross-checks fast paths against their defining computations.  The flag is a
+Release mode validates input data when it is constructed (the ``make_*``
+constructors) and the composites of the pairing.  Debug mode additionally
+re-checks every other derived value (``corrcat._trusted_*``) and cross-checks
+fast paths against their defining computations.  The flag is a
 process-wide toggle; all algebra values themselves stay immutable.
 """
 
@@ -13,11 +14,6 @@ _debug_validate = False
 
 def debug_enabled() -> bool:
     return _debug_validate
-
-
-def set_debug_validation(enabled: bool) -> None:
-    global _debug_validate
-    _debug_validate = bool(enabled)
 
 
 @contextmanager

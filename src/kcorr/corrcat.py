@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
-from .errors import (AmbientMismatch, InvalidObject, InvalidMorphism,
-                     ShapeError, UnknownVariable)
+from .errors import (AmbientMismatch, InternalLawViolation, InvalidObject,
+                     InvalidMorphism, KcorrError, ShapeError, UnknownVariable)
 from .exactalg import Matrix, Poly, QElem
 from .varieties import AffVariety
 
@@ -149,11 +149,23 @@ def make_correspondence(X: AffVariety, Y: AffVariety, n: int, p: Matrix,
     return CorrObject(X, Y, n, p, gen_images)
 
 
-def _trusted_object(X, Y, n, p, gen_images) -> CorrObject:
-    """Constructor for values whose validity the theory guarantees."""
+def _law_checked(what: str, make, *args):
+    """Build a derived value with a validating constructor; a failure is a bug."""
+    try:
+        return make(*args)
+    except KcorrError as exc:
+        raise InternalLawViolation(f"{what} failed validation: {exc}") from exc
+
+
+def _trusted(make, cls, *args):
+    """A derived value, built by a law-preserving operation; checked in debug mode."""
     if config.debug_enabled():
-        _check_object_data(X, Y, n, p, gen_images)
-    return CorrObject(X, Y, n, p, gen_images)
+        return _law_checked(f"derived {cls.__name__}", make, *args)
+    return cls(*args)
+
+
+def _trusted_object(X, Y, n, p, gen_images) -> CorrObject:
+    return _trusted(make_correspondence, CorrObject, X, Y, n, p, gen_images)
 
 
 def zero_object(X: AffVariety, Y: AffVariety) -> CorrObject:
@@ -219,9 +231,7 @@ def make_corr_morphism(src: CorrObject, dst: CorrObject, mat: Matrix) -> CorrMor
 
 
 def _trusted_morphism(src, dst, mat) -> CorrMorphism:
-    if config.debug_enabled():
-        _check_morphism_data(src, dst, mat)
-    return CorrMorphism(src, dst, mat)
+    return _trusted(make_corr_morphism, CorrMorphism, src, dst, mat)
 
 
 def identity_morphism(obj: CorrObject) -> CorrMorphism:

@@ -168,7 +168,7 @@ class PrimeField(Field):
         return pow(a, self.p - 2, self.p)
 
     def elements_sample(self):
-        return tuple(range(self.p)) if self.p <= 7 else tuple(range(-3, 4))
+        return tuple(c % self.p for c in (range(self.p) if self.p <= 7 else range(-3, 4)))
 
 
 QQ = RationalField()

@@ -6,7 +6,8 @@ debug mode recomputes both and compares.  The box product extends a
 correspondence over (X, X') to one over (X x U, X' x U') along a morphism
 U -> U'.  Trailing torus coordinates in the target can be split off into
 certified commuting automorphisms and merged back - a category isomorphism
-that is exact on data for product-shaped targets.
+that is exact on data for product-shaped targets.  Every value built here is
+derived, so corrcat's ``_trusted`` constructors check it in debug mode only.
 """
 
 from __future__ import annotations
@@ -14,13 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
-from .corrcat import (CorrMorphism, CorrObject, eval_nonunital, graph_object,
-                      identity_morphism, make_corr_morphism,
-                      make_correspondence, _trusted_morphism, _trusted_object)
+from .corrcat import (CorrMorphism, CorrObject, corner_eval, graph_object,
+                      identity_morphism, _trusted, _trusted_morphism,
+                      _trusted_object)
 from .errors import InternalLawViolation, InvalidArity, InvalidCertificate, ShapeError
 from .pairing import compose_objects, compose_morphisms
-from .varieties import (AffVariety, VarMorphism, gm_power, point, product,
-                        product_of, split_projections, torus_arity)
+from .varieties import (AffVariety, VarMorphism, gm_power, identity_map, point,
+                        product, product_of, split_projections, torus_arity)
+
+
+def _graph_cross_check(what: str, result, via_graph):
+    """Debug mode: the fast path must equal its defining graph composition."""
+    if config.debug_enabled() and via_graph() != result:
+        raise InternalLawViolation(f"{what} disagrees with graph composition")
+    return result
 
 
 def pullback_obj(f: VarMorphism, obj: CorrObject) -> CorrObject:
@@ -30,44 +38,36 @@ def pullback_obj(f: VarMorphism, obj: CorrObject) -> CorrObject:
     result = _trusted_object(f.source, obj.Y, obj.n,
                              f.pull_matrix(obj.p),
                              tuple(f.pull_matrix(a) for a in obj.gen_images))
-    if config.debug_enabled():
-        via_graph = compose_objects(graph_object(f), obj)
-        if via_graph != result:
-            raise InternalLawViolation("pullback fast path disagrees with graph composition")
-    return result
+    return _graph_cross_check("pullback fast path", result,
+                              lambda: compose_objects(graph_object(f), obj))
 
 
 def pullback_mor(f: VarMorphism, mor: CorrMorphism) -> CorrMorphism:
     result = _trusted_morphism(pullback_obj(f, mor.src), pullback_obj(f, mor.dst),
                                f.pull_matrix(mor.mat))
-    if config.debug_enabled():
-        via_graph = compose_morphisms(mor, identity_morphism(graph_object(f)))
-        if via_graph.mat != result.mat:
-            raise InternalLawViolation("pullback of morphism disagrees with graph composition")
-    return result
+    return _graph_cross_check(
+        "pullback of morphism", result,
+        lambda: compose_morphisms(mor, identity_morphism(graph_object(f))))
 
 
 def pushforward_obj(g: VarMorphism, obj: CorrObject) -> CorrObject:
     """Relabel the target along g: Y -> Y' by evaluating pulled coordinates."""
     if g.source != obj.Y:
         raise ShapeError(f"{g.source.name} is not the target of the object")
-    gens = tuple(eval_nonunital(obj, img) for img in g.images)
+    powers: dict = {}
+    gens = tuple(corner_eval(obj.p, obj.gen_images, img.rep, powers)
+                 for img in g.images)
     result = _trusted_object(obj.X, g.target, obj.n, obj.p, gens)
-    if config.debug_enabled():
-        via_graph = compose_objects(obj, graph_object(g))
-        if via_graph != result:
-            raise InternalLawViolation("pushforward fast path disagrees with graph composition")
-    return result
+    return _graph_cross_check("pushforward fast path", result,
+                              lambda: compose_objects(obj, graph_object(g)))
 
 
 def pushforward_mor(g: VarMorphism, mor: CorrMorphism) -> CorrMorphism:
     result = _trusted_morphism(pushforward_obj(g, mor.src),
                                pushforward_obj(g, mor.dst), mor.mat)
-    if config.debug_enabled():
-        via_graph = compose_morphisms(identity_morphism(graph_object(g)), mor)
-        if via_graph.mat != result.mat:
-            raise InternalLawViolation("pushforward of morphism disagrees with graph composition")
-    return result
+    return _graph_cross_check(
+        "pushforward of morphism", result,
+        lambda: compose_morphisms(identity_morphism(graph_object(g)), mor))
 
 
 # -- box product ----------------------------------------------------------
@@ -178,20 +178,15 @@ def to_automorphism_object(obj: CorrObject) -> AutObject:
     """
     y_base, torus, arity, is_product = _split_torus_target(obj.Y)
     if is_product:
-        q_y, q_t = split_projections(obj.Y, y_base, torus)
-        projection = q_y
-        torus_elems = q_t.images
+        projection, to_torus = split_projections(obj.Y, y_base, torus)
     else:
-        projection = VarMorphism(obj.Y, y_base, ())
-        torus_elems = tuple(obj.Y.var(v) for v in torus.vars)
+        projection, to_torus = VarMorphism(obj.Y, y_base, ()), identity_map(obj.Y)
     base = pushforward_obj(projection, obj)
-    thetas = []
-    for i in range(arity):
-        t_mat = eval_nonunital(obj, torus_elems[2 * i])
-        s_mat = eval_nonunital(obj, torus_elems[2 * i + 1])
-        thetas.append((make_corr_morphism(base, base, t_mat),
-                       make_corr_morphism(base, base, s_mat)))
-    return make_aut_object(base, thetas)
+    mats = pushforward_obj(to_torus, obj).gen_images
+    thetas = tuple((_trusted_morphism(base, base, mats[2 * i]),
+                    _trusted_morphism(base, base, mats[2 * i + 1]))
+                   for i in range(arity))
+    return _trusted(make_aut_object, AutObject, base, thetas)
 
 
 def to_torus_object(aut: AutObject, arity: int | None = None) -> CorrObject:
@@ -213,7 +208,7 @@ def to_torus_object(aut: AutObject, arity: int | None = None) -> CorrObject:
     for fwd, bwd in aut.thetas:
         gens.append(fwd.mat)
         gens.append(bwd.mat)
-    return make_correspondence(base.X, target, base.n, base.p, tuple(gens))
+    return _trusted_object(base.X, target, base.n, base.p, tuple(gens))
 
 
 def aut_morphism_from_torus(mor: CorrMorphism) -> AutMorphism:
@@ -221,13 +216,13 @@ def aut_morphism_from_torus(mor: CorrMorphism) -> AutMorphism:
     src = to_automorphism_object(mor.src)
     dst = to_automorphism_object(mor.dst)
     underlying = _trusted_morphism(src.base, dst.base, mor.mat)
-    return make_aut_morphism(src, dst, underlying)
+    return _trusted(make_aut_morphism, AutMorphism, src, dst, underlying)
 
 
 def torus_morphism_from_aut(amor: AutMorphism) -> CorrMorphism:
     """Morphism transport along the merging; the matrix is unchanged."""
-    return make_corr_morphism(to_torus_object(amor.src),
-                              to_torus_object(amor.dst), amor.underlying.mat)
+    return _trusted_morphism(to_torus_object(amor.src),
+                             to_torus_object(amor.dst), amor.underlying.mat)
 
 
 def pullback_aut(f: VarMorphism, aut: AutObject) -> AutObject:
@@ -237,7 +232,7 @@ def pullback_aut(f: VarMorphism, aut: AutObject) -> AutObject:
         (_trusted_morphism(base, base, f.pull_matrix(fwd.mat)),
          _trusted_morphism(base, base, f.pull_matrix(bwd.mat)))
         for fwd, bwd in aut.thetas)
-    return AutObject(base, thetas)
+    return _trusted(make_aut_object, AutObject, base, thetas)
 
 
 def pushforward_aut(g: VarMorphism, aut: AutObject) -> AutObject:
@@ -247,4 +242,4 @@ def pushforward_aut(g: VarMorphism, aut: AutObject) -> AutObject:
         (_trusted_morphism(base, base, fwd.mat),
          _trusted_morphism(base, base, bwd.mat))
         for fwd, bwd in aut.thetas)
-    return AutObject(base, thetas)
+    return _trusted(make_aut_object, AutObject, base, thetas)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
-                     InvalidObject, ShapeError)
+from .errors import AmbientMismatch, InternalLawViolation, ShapeError
 from .exactalg import Matrix, QElem
 from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, corner_eval,
                       direct_sum, make_corr_morphism, make_correspondence,
-                      verify_iso)
+                      verify_iso, _law_checked, _trusted_morphism)
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,8 @@ def compose_objects(first: CorrObject, second: CorrObject) -> CorrObject:
             f"middle variety mismatch: {first.Y.name} vs {second.X.name}")
     p = _eval_blocks_flat(first, second.p)
     gens = tuple(_eval_blocks_flat(first, a) for a in second.gen_images)
-    try:
-        return make_correspondence(first.X, second.Y, second.n * first.n, p, gens)
-    except (InvalidObject, ShapeError, AmbientMismatch) as exc:
-        raise InternalLawViolation(f"composite object failed validation: {exc}") from exc
+    return _law_checked("composite object", make_correspondence,
+                        first.X, second.Y, second.n * first.n, p, gens)
 
 
 def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> CorrMorphism:
@@ -134,10 +131,7 @@ def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> Corr
     inner_copies = Matrix.block_diag(
         basis, tuple(first_mor.mat for _ in range(second_mor.src.n)))
     mat = outer_through_inner * inner_copies
-    try:
-        return make_corr_morphism(src, dst, mat)
-    except (InvalidMorphism, ShapeError, AmbientMismatch) as exc:
-        raise InternalLawViolation(f"composite morphism failed validation: {exc}") from exc
+    return _law_checked("composite morphism", make_corr_morphism, src, dst, mat)
 
 
 def strict_associativity_check(phi1: CorrObject, phi2: CorrObject,
@@ -177,8 +171,8 @@ def sum_split_certificate_inner(first_a: CorrObject, first_b: CorrObject,
     basis = combined.p.basis
     perm = Matrix.permutation(
         basis, _interleave_permutation(first_a.n, first_b.n, second.n))
-    fwd = make_corr_morphism(combined, split, perm * combined.p)
-    bwd = make_corr_morphism(split, combined, combined.p * perm.transpose())
+    fwd = _trusted_morphism(combined, split, perm * combined.p)
+    bwd = _trusted_morphism(split, combined, combined.p * perm.transpose())
     cert = IsoCertificate(fwd, bwd)
     if not verify_iso(cert):
         raise InternalLawViolation("inner direct-sum certificate failed verification")
@@ -198,8 +192,8 @@ def sum_split_certificate_outer(first: CorrObject, second_a: CorrObject,
     if combined != split:
         raise InternalLawViolation(
             "outer direct-sum composite is expected to split on the nose")
-    cert = IsoCertificate(make_corr_morphism(combined, split, combined.p),
-                          make_corr_morphism(split, combined, combined.p))
+    cert = IsoCertificate(_trusted_morphism(combined, split, combined.p),
+                          _trusted_morphism(split, combined, combined.p))
     if not verify_iso(cert):
         raise InternalLawViolation("outer direct-sum certificate failed verification")
     return cert

@@ -103,63 +103,66 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _split_top_level(body: str, sep: str, line: int):
-    """Split on ``sep`` outside brackets and parentheses."""
+def _stripped(text: str, col: int):
+    """A span: ``text`` stripped of blanks, and the offset in its source line."""
+    return text.strip(), col + len(text) - len(text.lstrip())
+
+
+def _split_top_level(body: str, sep: str, line: int, col: int):
+    """Split ``body``, at offset ``col``, on ``sep`` outside brackets and
+    parentheses, into spans; errors name the bracket at fault."""
     parts = []
-    depth = 0
-    current = []
-    for ch in body:
+    opened = []
+    start = 0
+    for k, ch in enumerate(body):
         if ch in "[(":
-            depth += 1
+            opened.append(k)
         elif ch in "])":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced brackets", line, 1)
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ParseError("unbalanced brackets", line, 1)
-    parts.append("".join(current))
+            if not opened:
+                raise ParseError("unbalanced brackets", line, col + k + 1)
+            opened.pop()
+        elif ch == sep and not opened:
+            parts.append(_stripped(body[start:k], col + start))
+            start = k + 1
+    if opened:
+        raise ParseError("unbalanced brackets", line, col + opened[-1] + 1)
+    parts.append(_stripped(body[start:], col + start))
     return parts
 
 
-def _parse_bracket_list(text: str, line: int):
-    text = text.strip()
+def _parse_bracket_list(span, line: int):
+    """The elements of the ``[...]`` list in a span, as spans."""
+    text, col = _stripped(*span)
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"expected a [...] list, got {text!r}", line, 1)
-    inner = text[1:-1].strip()
-    if not inner:
+        raise ParseError(f"expected a [...] list, got {text!r}", line, col + 1)
+    _split_top_level(text, ",", line, col)  # the list's own brackets must match
+    if not text[1:-1].strip():
         return []
-    return [p.strip() for p in _split_top_level(inner, ",", line)]
+    return _split_top_level(text[1:-1], ",", line, col + 1)
 
 
-def _parse_matrix(text: str, variety: AffVariety, line: int) -> Matrix:
-    rows_text = _parse_bracket_list(text, line)
-    rows = []
-    for row_text in rows_text:
-        entries = _parse_bracket_list(row_text, line)
-        rows.append([QElem(variety.gb, parse_poly(e, variety.ambient, line))
-                     for e in entries])
+def _parse_matrix(span, variety: AffVariety, line: int) -> Matrix:
+    row_spans = _parse_bracket_list(span, line)
+    rows = [[QElem(variety.gb, parse_poly(e, variety.ambient, line, e_col))
+             for e, e_col in _parse_bracket_list(row, line)]
+            for row in row_spans]
     ncols = len(rows[0]) if rows else 0
-    if any(len(r) != ncols for r in rows):
-        raise ParseError("ragged matrix literal", line, 1)
+    for row, (_, row_col) in zip(rows, row_spans):
+        if len(row) != ncols:
+            raise ParseError("ragged matrix literal", line, row_col + 1)
     return Matrix(variety.gb, rows, len(rows), ncols)
 
 
-def _parse_body(body: str, line: int):
-    """``key = value`` pairs from a ``{...}`` block; keys may repeat."""
+def _parse_body(body: str, line: int, col: int):
+    """(key, value span) pairs from a ``{...}`` block; keys may repeat."""
     pairs = []
-    for chunk in _split_top_level(body, ";", line):
-        chunk = chunk.strip()
+    for chunk, chunk_col in _split_top_level(body, ";", line, col):
         if not chunk:
             continue
         if "=" not in chunk:
-            raise ParseError(f"expected key = value, got {chunk!r}", line, 1)
+            raise ParseError(f"expected key = value, got {chunk!r}", line, chunk_col + 1)
         key, value = chunk.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
+        pairs.append((key.strip(), _stripped(value, chunk_col + len(key) + 1)))
     return pairs
 
 
@@ -179,39 +182,40 @@ def _arrow_split(header: str, line: int):
     return name.strip(), src.strip(), dst.strip()
 
 
-def _declare_variety(session, header, body, line):
+def _declare_variety(session, header, body, line, col):
     name = header.strip()
     _expect_unique(session, name, line)
-    fields = dict(_parse_body(body, line))
+    fields = dict(_parse_body(body, line, col))
     if set(fields) - {"vars", "ideal"}:
         raise ParseError(f"variety block takes vars and ideal, got {sorted(fields)}", line, 1)
-    var_names = _parse_bracket_list(fields.get("vars", "[]"), line)
+    var_names = [v for v, _ in _parse_bracket_list(fields.get("vars", ("[]", 0)), line)]
     variety = make_variety(name, var_names, [], session.field)
-    gens = [parse_poly(g, variety.ambient, line)
-            for g in _parse_bracket_list(fields.get("ideal", "[]"), line)]
+    gens = [parse_poly(g, variety.ambient, line, g_col)
+            for g, g_col in _parse_bracket_list(fields.get("ideal", ("[]", 0)), line)]
     session.register("variety", name, make_variety(name, var_names, gens, session.field))
 
 
-def _declare_map(session, header, body, line):
+def _declare_map(session, header, body, line, col):
     name, src_name, dst_name = _arrow_split(header, line)
     _expect_unique(session, name, line)
     src = session.varieties.get(src_name)
     dst = session.varieties.get(dst_name)
     if src is None or dst is None:
         raise ResolveError(f"map {name!r} references undeclared variety (line {line})")
-    assignments = dict(_parse_body(body, line))
+    assignments = dict(_parse_body(body, line, col))
     images = []
     for v in dst.vars:
         if v not in assignments:
             raise ParseError(f"map {name!r} missing image for {v!r}", line, 1)
-        images.append(parse_poly(assignments.pop(v), src.ambient, line))
+        image, image_col = assignments.pop(v)
+        images.append(parse_poly(image, src.ambient, line, image_col))
     if assignments:
         raise ParseError(f"map {name!r} assigns unknown variables {sorted(assignments)}",
                          line, 1)
     session.register("map", name, make_morphism(src, dst, images))
 
 
-def _declare_corr(session, header, body, line):
+def _declare_corr(session, header, body, line, col):
     name, src_name, dst_name = _arrow_split(header, line)
     _expect_unique(session, name, line)
     x = session.varieties.get(src_name)
@@ -221,9 +225,12 @@ def _declare_corr(session, header, body, line):
     n = None
     unit = None
     gens = {}
-    for key, value in _parse_body(body, line):
+    for key, value in _parse_body(body, line, col):
         if key == "n":
-            n = int(value)
+            if not value[0].isdigit():
+                raise ParseError(f"n must be a natural number, got {value[0]!r}",
+                                 line, value[1] + 1)
+            n = int(value[0])
         elif key == "unit":
             unit = _parse_matrix(value, x, line)
         elif key.startswith("gen "):
@@ -243,14 +250,14 @@ def _declare_corr(session, header, body, line):
     session.register("corr", name, make_correspondence(x, y, n, unit, images))
 
 
-def _declare_morphism(session, header, body, line):
+def _declare_morphism(session, header, body, line, col):
     name, src_name, dst_name = _arrow_split(header, line)
     _expect_unique(session, name, line)
     src = session.corrs.get(src_name)
     dst = session.corrs.get(dst_name)
     if src is None or dst is None:
         raise ResolveError(f"morphism {name!r} references undeclared corr (line {line})")
-    fields = dict(_parse_body(body, line))
+    fields = dict(_parse_body(body, line, col))
     if set(fields) != {"matrix"}:
         raise ParseError(f"morphism block takes exactly matrix, got {sorted(fields)}",
                          line, 1)
@@ -260,19 +267,19 @@ def _declare_morphism(session, header, body, line):
     session.register("morphism", name, make_corr_morphism(src, dst, mat))
 
 
-def _declare_aut(session, header, body, line):
+def _declare_aut(session, header, body, line, col):
     name = header.strip()
     _expect_unique(session, name, line)
-    fields = dict(_parse_body(body, line))
+    fields = dict(_parse_body(body, line, col))
     if set(fields) != {"base", "theta", "theta_inv"}:
         raise ParseError("aut block takes base, theta and theta_inv", line, 1)
-    base_name = fields["base"].strip()
+    base_name = fields["base"][0]
     base = session.corrs.get(base_name)
     if base is None:
         raise ResolveError(f"aut {name!r} references undeclared corr {base_name!r} "
                            f"(line {line})")
-    theta_names = _parse_bracket_list(fields["theta"], line)
-    inv_names = _parse_bracket_list(fields["theta_inv"], line)
+    theta_names = [t for t, _ in _parse_bracket_list(fields["theta"], line)]
+    inv_names = [t for t, _ in _parse_bracket_list(fields["theta_inv"], line)]
     if len(theta_names) != len(inv_names):
         raise ParseError("theta and theta_inv have different lengths", line, 1)
     pairs = []
@@ -301,7 +308,6 @@ def parse_session(text: str) -> Session:
     session = Session()
     lines = text.splitlines()
     i = 0
-    saw_field = False
     saw_decl = False
     while i < len(lines):
         line_no = i + 1
@@ -323,7 +329,6 @@ def parse_session(text: str) -> Session:
                 session.field = parse_field(spec.replace(" ", ":", 1))
             except KcorrError as exc:
                 raise ParseError(str(exc), line_no, 1) from exc
-            saw_field = True
             continue
         if word in _DECL_HANDLERS:
             saw_decl = True
@@ -331,6 +336,7 @@ def parse_session(text: str) -> Session:
             if "{" not in rest:
                 raise ParseError(f"{word} declaration needs a {{...}} block", line_no, 1)
             header, brace_part = rest.split("{", 1)
+            body_col = lines[line_no - 1].index("{") + 1
             depth = brace_part.count("{") - brace_part.count("}") + 1
             body_chunks = [brace_part]
             while depth > 0:
@@ -343,7 +349,7 @@ def parse_session(text: str) -> Session:
             body = " ".join(body_chunks)
             body = body[:body.rfind("}")]
             try:
-                _DECL_HANDLERS[word](session, header, body, line_no)
+                _DECL_HANDLERS[word](session, header, body, line_no, body_col)
             except (ParseError, ResolveError):
                 raise
             except KcorrError as exc:

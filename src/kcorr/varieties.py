@@ -287,15 +287,19 @@ def compose_maps(outer: VarMorphism, inner: VarMorphism) -> VarMorphism:
                        tuple(inner.pull(img) for img in outer.images))
 
 
+def _split_var_names(prod: AffVariety, n_left: int):
+    """Variables of ``prod`` from its first ``n_left`` factors, and the rest."""
+    embeds = factor_embeddings(prod)
+    return ([name for emb in embeds[:n_left] for name in emb.values()],
+            [name for emb in embeds[n_left:] for name in emb.values()])
+
+
 def product_morphism(f: VarMorphism, g: VarMorphism) -> VarMorphism:
     """Componentwise product  f x g : src(f) x src(g) -> tgt(f) x tgt(g)."""
     src = product(f.source, g.source)
     tgt = product(f.target, g.target)
-    src_embeds = factor_embeddings(src)
-    n_left = len(_flatten(f.source))
     # positional alignment: vars of f.source appear in src in the same order
-    left_names = [name for emb in src_embeds[:n_left] for name in emb.values()]
-    right_names = [name for emb in src_embeds[n_left:] for name in emb.values()]
+    left_names, right_names = _split_var_names(src, len(_flatten(f.source)))
     f_rename = dict(zip(f.source.vars, left_names))
     g_rename = dict(zip(g.source.vars, right_names))
     images = []
@@ -308,14 +312,9 @@ def product_morphism(f: VarMorphism, g: VarMorphism) -> VarMorphism:
 
 def split_projections(prod: AffVariety, left: AffVariety, right: AffVariety):
     """The two projections of ``prod = product(left, right)``."""
-    if prod != product(left, right):
+    # product() is a function of the flattened factor lists: compare those
+    if prod.factors != _flatten(left) + _flatten(right):
         raise ShapeError(f"{prod.name} is not the product of {left.name} and {right.name}")
-    embeds = factor_embeddings(prod)
-    n_left = len(_flatten(left))
-    left_names = [name for emb in embeds[:n_left] for name in emb.values()]
-    right_names = [name for emb in embeds[n_left:] for name in emb.values()]
-    q_left = VarMorphism(prod, left,
-                         tuple(prod.var(n) for n in left_names))
-    q_right = VarMorphism(prod, right,
-                          tuple(prod.var(n) for n in right_names))
-    return q_left, q_right
+    names = _split_var_names(prod, len(_flatten(left)))
+    return tuple(VarMorphism(prod, part, tuple(prod.var(n) for n in part_names))
+                 for part, part_names in zip((left, right), names))

@@ -5,9 +5,11 @@ import pytest
 from kcorr.bimod import (big_lift, big_pullback, big_pushforward,
                          bimodule_hom_valid, from_bimodule, make_presentation,
                          restrict_base, to_bimodule)
-from kcorr.corrcat import (direct_sum, make_corr_morphism, make_correspondence,
-                           zero_object)
-from kcorr.errors import AmbientMismatch, InvalidMorphism, ShapeError
+from kcorr.config import debug_validation
+from kcorr.corrcat import (direct_sum, eval_nonunital, make_corr_morphism,
+                           make_correspondence, zero_object)
+from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
+                          ShapeError)
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ
 from kcorr.randomgen import (GenBounds, derive_seed, random_morphism_from,
                              random_object, random_endo_matrix, sample_map)
@@ -176,3 +178,24 @@ def test_restricted_value_is_entrywise_pullback(pool):
         obj.p.map_entries(lambda e: g.pull(e), pt.gb),
         tuple(a.map_entries(lambda e: g.pull(e), pt.gb) for a in obj.gen_images))
     assert restricted == expected
+
+
+def test_restricted_pushforward_is_entrywise_evaluation(pool):
+    pt, line, two, gm = pool
+    obj = random_object(line, two, seed=11, bounds=BOUNDS)
+    h = make_morphism(two, line, ["y + 3"])
+    restricted = restrict_base(big_pushforward(h, big_lift(obj)))
+    expected = make_presentation(line, line, obj.n, obj.p,
+                                 tuple(eval_nonunital(obj, img) for img in h.images))
+    assert restricted == expected
+
+
+def test_corrupted_restriction_is_an_internal_violation(pool, monkeypatch):
+    from test_functors import _corrupt_pullbacks
+    pt, line, two, gm = pool
+    obj = random_object(line, two, seed=10, bounds=BOUNDS)
+    assert not obj.p.is_zero()
+    _corrupt_pullbacks(monkeypatch)
+    with debug_validation():
+        with pytest.raises(InternalLawViolation, match="derived CorrObject"):
+            restrict_base(big_pullback(make_morphism(pt, line, ["2"]), big_lift(obj)))

@@ -157,7 +157,7 @@ def test_command_errors_name_their_session_line(tmp_path, capsys, session_file):
     assert SESSION.count("\n") == 16  # so the command sits on line 17
     capsys.readouterr()
     assert main(["run", str(path)]) == 2
-    assert capsys.readouterr().err == "error: line 17, col 1: unbalanced brackets\n"
+    assert capsys.readouterr().err == "error: line 17, col 22: unbalanced brackets\n"
     # on the command line there is no session line to name
     assert main(["compare-bimodule", session_file, "G", "G", "[[x, 0]"]) == 2
     assert capsys.readouterr().err == "error: unbalanced brackets\n"

@@ -9,8 +9,10 @@ from kcorr.corrcat import (add_morphisms, compose_vertical, direct_sum,
                            identity_object, make_corr_morphism,
                            make_correspondence, scale_morphism, sum_injections,
                            verify_iso, zero_morphism, zero_object, IsoCertificate)
-from kcorr.errors import (AmbientMismatch, InvalidMorphism, InvalidObject,
-                          UnknownVariable)
+from kcorr.cli import main
+from kcorr.corrcat import _law_checked, _trusted_object
+from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
+                          InvalidObject, UnknownVariable)
 from kcorr.exactalg import Matrix, QElem, QQ, PrimeField
 from kcorr.randomgen import GenBounds, random_object, random_morphism_from
 from kcorr.varieties import make_morphism, make_variety, point
@@ -194,3 +196,27 @@ def test_debug_mode_revalidates(setting):
         src = random_object(line, two, rng=rng, bounds=BOUNDS)
         mor = random_morphism_from(src, rng, BOUNDS)
         compose_vertical(identity_morphism(mor.dst), mor)
+
+
+def test_law_check_on_a_derived_value_is_an_internal_violation(setting):
+    pt, line, two, obj = setting
+    doubled = obj.p + obj.p  # not idempotent
+    with pytest.raises(InternalLawViolation, match="idempotent"):
+        _law_checked("derived object", make_correspondence, pt, two, 2, doubled,
+                     obj.gen_images)
+    assert _trusted_object(pt, two, 2, doubled, obj.gen_images).p == doubled
+    with debug_validation():
+        with pytest.raises(InternalLawViolation, match="derived CorrObject"):
+            _trusted_object(pt, two, 2, doubled, obj.gen_images)
+
+
+def test_bad_input_stays_a_user_error(setting, tmp_path, capsys):
+    pt, line, two, obj = setting
+    with debug_validation():
+        with pytest.raises(InvalidObject, match="idempotent"):
+            make_correspondence(pt, two, 2, obj.p + obj.p, obj.gen_images)
+    path = tmp_path / "bad.kc"
+    path.write_text("field Q\nvariety pt { vars = []; ideal = [] }\n"
+                    "corr C : pt -> pt { n = 1; unit = [[2]] }\n", encoding="utf-8")
+    assert main(["--debug-validate", "validate", str(path)]) == 2
+    assert "idempotent law p*p = p fails" in capsys.readouterr().err

@@ -53,3 +53,9 @@ def test_rational_literals():
     assert QQ.from_fraction(3, 2) * 2 == 3
     f5 = PrimeField(5)
     assert f5.from_fraction(3, 2) == f5.mul(3, f5.inv(2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_field_samples_are_canonical_residues(p):
+    sample = PrimeField(p).elements_sample()
+    assert sample and all(c in range(p) for c in sample)

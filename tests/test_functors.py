@@ -6,7 +6,7 @@ import pytest
 from kcorr.config import debug_validation
 from kcorr.corrcat import (graph_object, identity_object, make_correspondence,
                            make_corr_morphism)
-from kcorr.errors import InvalidCertificate, ShapeError
+from kcorr.errors import InternalLawViolation, InvalidCertificate, ShapeError
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ
 from kcorr.functors import (aut_morphism_from_torus, box_mor, box_product,
                             make_aut_object, pullback_aut, pullback_mor,
@@ -16,7 +16,7 @@ from kcorr.functors import (aut_morphism_from_torus, box_mor, box_product,
 from kcorr.pairing import compose_morphisms, compose_objects
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
                              random_morphism_from, random_object, sample_map)
-from kcorr.varieties import (compose_maps, gm_power, identity_map,
+from kcorr.varieties import (VarMorphism, compose_maps, gm_power, identity_map,
                              make_morphism, make_variety, point, product,
                              product_morphism)
 
@@ -209,3 +209,32 @@ def test_torus_naturality_conditions(pool):
         assert pushforward_aut(g, to_automorphism_object(torus_obj)) == \
             to_automorphism_object(pushforward_obj(
                 product_morphism(g, identity_map(torus)), torus_obj))
+
+
+def _corrupt_pullbacks(monkeypatch):
+    """Make every entrywise pullback return twice the true matrix."""
+    true_pull = VarMorphism.pull_matrix
+    monkeypatch.setattr(VarMorphism, "pull_matrix",
+                        lambda self, mat: true_pull(self, mat) + true_pull(self, mat))
+
+
+def test_corrupted_pullback_is_an_internal_violation(pool, monkeypatch):
+    pt, line, *_ = pool
+    phi = graph_object(make_morphism(line, line, ["x^2"]))
+    ev1 = make_morphism(pt, line, ["1"])
+    _corrupt_pullbacks(monkeypatch)
+    assert pullback_obj(ev1, phi).p != phi.p  # release mode trusts the value
+    with debug_validation():
+        with pytest.raises(InternalLawViolation, match="derived CorrObject"):
+            pullback_obj(ev1, phi)
+
+
+def test_corrupted_torus_object_is_an_internal_violation(pool, monkeypatch):
+    pt, line, two, gm = pool
+    aut = random_aut_object(line, two, 1, seed=1, bounds=BOUNDS)
+    assert not aut.base.p.is_zero()
+    _corrupt_pullbacks(monkeypatch)
+    corrupted = pullback_aut(make_morphism(pt, line, ["2"]), aut)
+    with debug_validation():
+        with pytest.raises(InternalLawViolation, match="derived CorrObject"):
+            to_torus_object(corrupted)

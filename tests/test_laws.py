@@ -117,3 +117,9 @@ def test_cases_must_be_positive():
     from kcorr.errors import KcorrError
     with pytest.raises(KcorrError):
         law_suite(seed=1, cases=0)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_prime_fields_above_seven_pass(p):
+    report = law_suite(seed=1, cases=10, fields=(PrimeField(p),))
+    assert report.ok, report.to_text()

@@ -182,3 +182,22 @@ def test_register_rejects_a_used_name():
             s.declare(name, value)
     assert s.decls == [("variety", "pt"), ("corr", "C")]
     assert parse_session(print_session(s)) == s
+
+
+@pytest.mark.parametrize("decl, column, message", [
+    # the bad entry's operator, counted along the whole source line
+    ("corr C : V -> V { n = 1; unit = [[1]]; gen x = [[x + ]] }", 52,
+     "unexpected end"),
+    ("corr C : V -> V { n = 1; unit = [[1]; gen x = [[x]] }", 33, "unbalanced"),
+    ("corr C : V -> V { n = 1; unit = [[1]]]; gen x = [[x]] }", 38, "unbalanced"),
+    ("corr C : V -> V { n = 2; unit = [[1, 0], [0]]; gen x = [[x]] }", 42,
+     "ragged"),
+    ("corr C : V -> V { n = x; unit = [[1]]; gen x = [[x]] }", 23, "natural"),
+    ("  map m : V -> V { x = x^^2 }", 26, "exponent"),
+    ("variety W { vars = [w]; ideal = [w -* 1] }", 37, "unexpected token"),
+])
+def test_errors_name_their_column_in_the_source_line(decl, column, message):
+    text = f"field Q\nvariety V {{ vars = [x]; ideal = [] }}\n{decl}\n"
+    with pytest.raises(ParseError, match=message) as err:
+        parse_session(text)
+    assert (err.value.line, err.value.column) == (3, column)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kcorr.errors import (FieldMismatch, InvalidArity, NotWellDefined,
-                          UnknownVariable)
+                          ShapeError, UnknownVariable)
 from kcorr.exactalg import PrimeField, QQ, buchberger
 from kcorr.varieties import (compose_maps, gm_power, identity_map,
                              make_morphism, make_variety, point, product,
@@ -144,3 +144,23 @@ def test_reserved_separator_rejected():
         make_variety("bad.name", ["x"], [], QQ)
     with pytest.raises(InvalidArity):
         make_variety("V", ["bad.var"], [], QQ)
+
+
+def test_split_projections_of_a_nested_product(qq_pool):
+    _, line, two = qq_pool
+    gm = gm_power(1, QQ)
+    inner = product(line, two)
+    prod = product(inner, gm)
+    q_left, q_right = split_projections(prod, inner, gm)
+    assert q_left.target == inner and q_right.target == gm
+    assert q_left.pull(inner.qelem("A1.x*TwoPts.y")) == prod.qelem("A1.x*TwoPts.y")
+    assert q_right.pull(gm.qelem("t1 + 2*s1")) == prod.qelem("Gm1.t1 + 2*Gm1.s1")
+    q_line, q_rest = split_projections(prod, line, product(two, gm))
+    assert q_line.pull(line.qelem("x")) == prod.qelem("A1.x")
+    assert q_rest.images == (prod.var("TwoPts.y"), prod.var("Gm1.t1"),
+                             prod.var("Gm1.s1"))
+    for left, right in ((two, product(line, gm)), (inner, line), (line, inner)):
+        with pytest.raises(ShapeError):
+            split_projections(prod, left, right)
+    with pytest.raises(ShapeError):
+        split_projections(line, line, point(QQ))
