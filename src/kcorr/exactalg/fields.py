@@ -179,8 +179,7 @@ def parse_field(text: str) -> Field:
     text = text.strip()
     if text == "Q":
         return QQ
-    if text.startswith("Fp:"):
-        return PrimeField(int(text[3:]))
-    if text.startswith("F") and text[1:].isdigit():
-        return PrimeField(int(text[1:]))
+    digits = text[3:] if text.startswith("Fp:") else text[1:] if text.startswith("F") else ""
+    if digits.strip().isdecimal():
+        return PrimeField(int(digits))
     raise InvalidField(f"unknown field spec {text!r}")

@@ -28,9 +28,9 @@ def tokenize(text: str, line: int | None = None, col_offset: int = 0):
             i += 1
             continue
         col = i + 1 + col_offset
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], col))
             i = j

@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .corrcat import (add_morphisms, compose_vertical, graph_object,
-                      identity_morphism, identity_object, scale_morphism,
-                      zero_morphism)
+                      identity_morphism, identity_object, make_corr_morphism,
+                      scale_morphism, zero_morphism)
 from .errors import KcorrError
 from .exactalg import Field, PrimeField, QQ
 from . import bimod
@@ -229,14 +229,17 @@ def law_pairing_bifunctor(ctx: Ctx, rng: random.Random):
     sa = random_object(v, u, rng=rng, bounds=small)
     sb = random_object(v, u, rng=rng, bounds=small)
     sc = random_object(u, x, rng=rng, bounds=small)
-    ctx.check("sum-certificate-inner",
-              lambda: pairing.sum_split_certificate_inner(sa, sb, sc) is not None,
-              a=sa, b=sb, c=sc)
-    ctx.check("sum-certificate-outer",
-              lambda: pairing.sum_split_certificate_outer(sa, sc,
-                                                          random_object(u, x, rng=rng,
-                                                                        bounds=small))
-              is not None, a=sa, c=sc)
+    ctx.check("sum-certificate-inner", lambda: _certificate_valid(
+        pairing.sum_split_certificate_inner(sa, sb, sc)), a=sa, b=sb, c=sc)
+    sd = random_object(u, x, rng=rng, bounds=small)
+    ctx.check("sum-certificate-outer", lambda: _certificate_valid(
+        pairing.sum_split_certificate_outer(sa, sc, sd)), a=sa, c=sc, d=sd)
+
+
+def _certificate_valid(cert) -> bool:
+    """``verify_iso`` compares idempotents only: the witnesses must also be
+    morphisms, i.e. intertwine the generator images (a failure raises)."""
+    return all(make_corr_morphism(m.src, m.dst, m.mat) for m in (cert.fwd, cert.bwd))
 
 
 def law_pairing_units(ctx: Ctx, rng: random.Random):
@@ -335,9 +338,16 @@ def law_torus_isomorphism(ctx: Ctx, rng: random.Random):
                   functors.to_automorphism_object(torus_obj)) == torus_obj,
               torus_obj=torus_obj)
     mor = random_morphism_from(torus_obj, rng, ctx.bounds)
-    ctx.check("morphism-transport",
-              lambda: functors.torus_morphism_from_aut(
-                  functors.aut_morphism_from_torus(mor)).mat == mor.mat, mor=mor)
+
+    def transport():  # both transports are trusted: re-run the input checks
+        amor = functors.aut_morphism_from_torus(mor)
+        functors.make_aut_morphism(
+            *(functors.make_aut_object(a.base, a.thetas) for a in (amor.src, amor.dst)),
+            amor.underlying)
+        back = functors.torus_morphism_from_aut(amor)
+        return make_corr_morphism(back.src, back.dst, back.mat).mat == mor.mat
+
+    ctx.check("morphism-transport", transport, mor=mor)
 
 
 def law_pull_push(ctx: Ctx, rng: random.Random):

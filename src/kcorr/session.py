@@ -227,7 +227,7 @@ def _declare_corr(session, header, body, line, col):
     gens = {}
     for key, value in _parse_body(body, line, col):
         if key == "n":
-            if not value[0].isdigit():
+            if not value[0].isdecimal():
                 raise ParseError(f"n must be a natural number, got {value[0]!r}",
                                  line, value[1] + 1)
             n = int(value[0])

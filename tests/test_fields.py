@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from kcorr.exactalg import QQ, PrimeField
+from kcorr.exactalg import QQ, PrimeField, parse_field
 from kcorr.errors import InvalidField
 
 FIELDS = [QQ, PrimeField(5), PrimeField(2), PrimeField(7)]
@@ -59,3 +59,14 @@ def test_rational_literals():
 def test_prime_field_samples_are_canonical_residues(p):
     sample = PrimeField(p).elements_sample()
     assert sample and all(c in range(p) for c in sample)
+
+
+@pytest.mark.parametrize("spec", ["Q", "F5", "Fp:5", " Fp: 5 "])
+def test_field_specs(spec):
+    assert parse_field(spec) == (QQ if spec == "Q" else PrimeField(5))
+
+
+@pytest.mark.parametrize("spec", ["F", "Fp:", "Fp:x", "F\u00b2", "Fp:\u00b2", "R"])
+def test_bad_field_specs_are_invalid_fields(spec):
+    with pytest.raises(InvalidField, match="unknown field spec"):
+        parse_field(spec)

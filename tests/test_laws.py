@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kcorr import laws, pairing
+from kcorr import functors, laws, pairing
 from kcorr.corrcat import CorrMorphism, CorrObject
 from kcorr.exactalg import Matrix, PrimeField, QQ
 from kcorr.laws import LAW_NAMES, law_suite
@@ -111,6 +111,36 @@ def test_failure_inputs_are_runnable_sessions(monkeypatch):
                 assert s.corrs[name] == value
             else:
                 assert s.morphisms[name] == value
+
+
+def test_wrong_sum_permutation_caught_by_sum_certificate(monkeypatch):
+    # the swapped blocks keep the idempotents (verify_iso passes whenever the
+    # two units agree) but no longer intertwine the generator images
+    original = pairing._interleave_permutation
+    monkeypatch.setattr(pairing, "_interleave_permutation",
+                        lambda *ns: list(reversed(original(*ns))))
+    report = law_suite(seed=42, cases=10, fields=(PrimeField(5),),
+                       laws=("pairing-bifunctor",))
+    assert {f.check for f in report.failures} == {"sum-certificate-inner"}
+    assert any("intertwining fails" in f.message for f in report.failures)
+
+
+def test_corrupted_transport_theta_caught_in_release_mode(monkeypatch):
+    # the split morphism's target forgets its torus action: a valid
+    # automorphism object that the underlying morphism does not intertwine
+    original = functors.aut_morphism_from_torus
+
+    def forgetful(mor):
+        amor = original(mor)
+        base = amor.dst.base
+        unit = CorrMorphism(base, base, base.p)
+        dst = functors.AutObject(base, tuple((unit, unit) for _ in amor.dst.thetas))
+        return functors.AutMorphism(amor.src, dst, amor.underlying)
+
+    monkeypatch.setattr(functors, "aut_morphism_from_torus", forgetful)
+    report = law_suite(seed=42, cases=10, fields=(PrimeField(5), QQ),
+                       laws=("torus-isomorphism",))
+    assert {f.check for f in report.failures} == {"morphism-transport"}
 
 
 def test_cases_must_be_positive():

@@ -193,6 +193,10 @@ def test_register_rejects_a_used_name():
     ("corr C : V -> V { n = 2; unit = [[1, 0], [0]]; gen x = [[x]] }", 42,
      "ragged"),
     ("corr C : V -> V { n = x; unit = [[1]]; gen x = [[x]] }", 23, "natural"),
+    # digits that int() rejects are not numbers either
+    ("corr C : V -> V { n = \u00b2; unit = [[1]]; gen x = [[x]] }", 23, "natural"),
+    ("corr C : V -> V { n = 1; unit = [[\u00b2]]; gen x = [[x]] }", 35,
+     "unexpected character"),
     ("  map m : V -> V { x = x^^2 }", 26, "exponent"),
     ("variety W { vars = [w]; ideal = [w -* 1] }", 37, "unexpected token"),
 ])
