@@ -1,9 +1,9 @@
 """Global validation switch.
 
 Release mode validates input data when it is constructed (the ``make_*``
-constructors) and the composites of the pairing.  Debug mode additionally
-re-checks every other derived value (``corrcat._trusted_*``) and cross-checks
-fast paths against their defining computations.  The flag is a
+constructors).  Debug mode additionally re-checks every derived value
+(``corrcat._trusted_*``), the composites of the pairing included, and
+cross-checks fast paths against their defining computations.  The flag is a
 process-wide toggle; all algebra values themselves stay immutable.
 """
 

@@ -65,6 +65,7 @@ class ParseError(KcorrError):
     """Syntax error in a polynomial literal or session file."""
 
     def __init__(self, message, line=None, column=None):
+        self.detail = message
         self.line = line
         self.column = column
         if line is not None:

@@ -7,6 +7,7 @@ descending in the ambient order) is what printing, hashing and equality use.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import add
 
 from ..errors import AmbientMismatch, InvalidArity, UnknownVariable
@@ -124,6 +125,12 @@ class Poly:
 
     @staticmethod
     def const(ambient: Ambient, c) -> "Poly":
+        """The constant ``c``; an ``int`` or ``Fraction`` is reduced into the field."""
+        field = ambient.field
+        if isinstance(c, int):
+            c = field.from_int(c)
+        elif isinstance(c, Fraction):
+            c = field.from_fraction(c.numerator, c.denominator)
         return Poly(ambient, {ambient.unit_mono(): c})
 
     @staticmethod

@@ -2,8 +2,9 @@
 
 Fourteen law families run over both supported fields on seeded random data;
 every check is an exact data equality, so a single failing case falsifies
-the implementation.  Failures carry the seed, the case index and the inputs
-of the failing check as a session (``serialize_case``), which ``kcorr print``
+the implementation.  A failing case reports every one of its failing checks,
+in check order.  Failures carry the seed, the case index and the inputs of
+the failing check as a session (``serialize_case``), which ``kcorr print``
 and ``kcorr run`` accept unless an input lives over a product variety.
 """
 
@@ -32,11 +33,13 @@ from .varieties import (compose_maps, gm_power, identity_map, make_variety,
 LAW_BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.05)
 
 
-class LawCheckFailure(Exception):
-    def __init__(self, check: str, message: str, inputs: dict):
-        super().__init__(message)
-        self.check = check
-        self.inputs = inputs
+@dataclass
+class LawCheckFailure:
+    """One failed check of a case, as ``Ctx.check`` records it."""
+
+    check: str
+    message: str
+    inputs: dict
 
 
 @dataclass
@@ -140,11 +143,13 @@ def serialize_case(inputs: dict, field) -> str:
 
 
 class Ctx:
-    """Per-(law, field) context: variety pool and seeded sampling helpers."""
+    """Per-(law, field) context: variety pool, seeded sampling helpers and
+    the failed checks of the current case."""
 
     def __init__(self, field: Field, bounds: GenBounds):
         self.field = field
         self.bounds = bounds
+        self.failed = []
         self.pt = point(field)
         self.line = make_variety("A1", ["x"], [], field)
         self.twopts = make_variety("TwoPts", ["y"], ["y^2 - y"], field)
@@ -170,14 +175,14 @@ class Ctx:
         return sample_map(src, dst, rng, self.bounds.max_deg)
 
     def check(self, name: str, thunk, **inputs):
+        """Run one check; a failure is recorded and the case goes on."""
         try:
             ok = thunk()
-        except LawCheckFailure:
-            raise
         except Exception as exc:  # exact laws: any blowup is a finding
-            raise LawCheckFailure(name, f"{type(exc).__name__}: {exc}", inputs)
+            self.failed.append(LawCheckFailure(name, f"{type(exc).__name__}: {exc}", inputs))
+            return
         if ok is False:
-            raise LawCheckFailure(name, "exact identity failed", inputs)
+            self.failed.append(LawCheckFailure(name, "exact identity failed", inputs))
 
 
 # -- the fourteen families ----------------------------------------------------
@@ -512,18 +517,21 @@ def law_suite(seed: int, cases: int, fields=None,
             failures = []
             for index in range(cases):
                 rng = random.Random(derive_seed(seed, law_name, field.name, index))
+                ctx.failed = []
+                setup_error = None
                 try:
                     law_fn(ctx, rng)
-                except LawCheckFailure as fail:
+                except Exception as exc:  # a generator blowup is also a finding
+                    setup_error = f"{type(exc).__name__}: {exc}"
+                for fail in ctx.failed:
                     failures.append(LawFailure(
                         law=law_name, check=fail.check, field=field.name,
-                        case_index=index, seed=seed, message=str(fail),
+                        case_index=index, seed=seed, message=fail.message,
                         inputs=serialize_case(fail.inputs, field)))
-                except Exception as exc:  # a generator blowup is also a finding
+                if setup_error is not None:
                     failures.append(LawFailure(
                         law=law_name, check="case-setup", field=field.name,
-                        case_index=index, seed=seed,
-                        message=f"{type(exc).__name__}: {exc}", inputs=""))
+                        case_index=index, seed=seed, message=setup_error, inputs=""))
             report.results.append(LawResult(law_name, field.name, cases, failures))
     report.wall_time = time.perf_counter() - start
     return report

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from .errors import AmbientMismatch, InternalLawViolation, ShapeError
 from .exactalg import Matrix, QElem
 from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, corner_eval,
-                      direct_sum, make_corr_morphism, make_correspondence,
-                      verify_iso, _law_checked, _trusted_morphism)
+                      direct_sum, verify_iso, _trusted_morphism, _trusted_object)
 
 
 @dataclass(frozen=True)
@@ -102,16 +101,15 @@ def _eval_blocks_flat(inner_obj: CorrObject, outer_mat: Matrix) -> Matrix:
 def compose_objects(first: CorrObject, second: CorrObject) -> CorrObject:
     """Pairing on objects: ``first`` over (V,U), ``second`` over (U,X).
 
-    The result lives over (V,X) with size second.n * first.n.  The composite
-    is validated eagerly; a failure here is a bug, never user error.
+    The result lives over (V,X) with size second.n * first.n.  It is a
+    derived value, checked only in debug mode.
     """
     if first.Y != second.X:
         raise AmbientMismatch(
             f"middle variety mismatch: {first.Y.name} vs {second.X.name}")
     p = _eval_blocks_flat(first, second.p)
     gens = tuple(_eval_blocks_flat(first, a) for a in second.gen_images)
-    return _law_checked("composite object", make_correspondence,
-                        first.X, second.Y, second.n * first.n, p, gens)
+    return _trusted_object(first.X, second.Y, second.n * first.n, p, gens)
 
 
 def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> CorrMorphism:
@@ -131,7 +129,7 @@ def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> Corr
     inner_copies = Matrix.block_diag(
         basis, tuple(first_mor.mat for _ in range(second_mor.src.n)))
     mat = outer_through_inner * inner_copies
-    return _law_checked("composite morphism", make_corr_morphism, src, dst, mat)
+    return _trusted_morphism(src, dst, mat)
 
 
 def strict_associativity_check(phi1: CorrObject, phi2: CorrObject,

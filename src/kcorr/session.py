@@ -303,6 +303,17 @@ _DECL_HANDLERS = {
 }
 
 
+def _block_position(chunks, line_no: int, body_col: int, column: int):
+    """Source (line, col) of ``column``, counted along a block whose lines
+    ``chunks`` are joined by single blanks, the first starting at offset
+    ``body_col`` of line ``line_no`` and the others at offset 0."""
+    offset = column - 1 - body_col
+    for k, chunk in enumerate(chunks):
+        if offset <= len(chunk) or k == len(chunks) - 1:
+            return line_no + k, offset + 1 + (body_col if k == 0 else 0)
+        offset -= len(chunk) + 1
+
+
 def parse_session(text: str) -> Session:
     """Parse and resolve a session; declarations validate in file order."""
     session = Session()
@@ -350,7 +361,12 @@ def parse_session(text: str) -> Session:
             body = body[:body.rfind("}")]
             try:
                 _DECL_HANDLERS[word](session, header, body, line_no, body_col)
-            except (ParseError, ResolveError):
+            except ParseError as exc:
+                if len(body_chunks) == 1:
+                    raise
+                raise ParseError(exc.detail, *_block_position(
+                    body_chunks, line_no, body_col, exc.column)) from None
+            except ResolveError:
                 raise
             except KcorrError as exc:
                 raise type(exc)(f"in {word} at line {line_no}: {exc}") from exc

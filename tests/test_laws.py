@@ -73,6 +73,36 @@ def test_mutated_flatten_caught_by_interchange_within_25_cases(monkeypatch):
     assert first_interchange < 25
 
 
+def test_mutated_flatten_reports_every_failing_check_of_a_case(monkeypatch):
+    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    report = law_suite(seed=42, cases=25, fields=(PrimeField(5),),
+                       laws=("pairing-bifunctor",))
+    case_8 = [f.check for f in report.failures if f.case_index == 8]
+    assert case_8 == ["unit-object", "interchange"]
+    assert f"failures={len(report.failures)}" in report.to_text()
+
+
+def test_case_setup_error_is_listed_after_the_failed_checks(monkeypatch):
+    def stub_law(ctx, rng):
+        ctx.check("passes", lambda: True)
+        ctx.check("fails", lambda: False, obj=ctx.rand_obj(rng))
+        ctx.check("raises", lambda: 1 // 0)
+        raise RuntimeError("generator blew up")
+
+    monkeypatch.setattr(laws, "LAW_FAMILIES", (("stub", stub_law),))
+    report = law_suite(seed=1, cases=2, fields=(QQ,))
+    assert [(f.case_index, f.check) for f in report.failures] == [
+        (0, "fails"), (0, "raises"), (0, "case-setup"),
+        (1, "fails"), (1, "raises"), (1, "case-setup")]
+    fails, raises, setup = report.failures[:3]
+    assert fails.message == "exact identity failed"
+    assert fails.inputs.startswith("field Q") and "corr obj" in fails.inputs
+    assert raises.message.startswith("ZeroDivisionError")
+    assert setup.message == "RuntimeError: generator blew up"
+    assert setup.inputs == ""
+    assert "FAIL stub" in report.to_text() and "failures=6" in report.to_text()
+
+
 def test_failure_reports_carry_reproduction_data(monkeypatch):
     monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
     report = law_suite(seed=42, cases=10, fields=(PrimeField(5),),

@@ -4,11 +4,15 @@ from fractions import Fraction
 import pytest
 
 from oracles import dense_kron
+from test_laws import _shuffled_flatten
+from kcorr import corrcat, pairing
+from kcorr.config import debug_validation
 from kcorr.corrcat import (compose_vertical, direct_sum, graph_object,
                            identity_morphism, identity_object,
                            make_corr_morphism, make_correspondence,
                            zero_morphism, zero_object, verify_iso)
-from kcorr.errors import AmbientMismatch, ShapeError
+from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
+                          ShapeError)
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ, scalar_value
 from kcorr.pairing import (FlattenMap, compose_morphisms, compose_objects,
                            flatten_blocks, strict_associativity_check,
@@ -219,3 +223,51 @@ def test_sum_split_certificates(pools):
                                                 random_object(two, gm, rng=rng,
                                                               bounds=BOUNDS))
             assert verify_iso(cert2)
+
+
+def _composable_pair(pools):
+    """Morphisms m1 of (pt, pt) objects and m2 of (pt, A1) objects, n = 2
+    each; m1 is not scalar and m2's generator image has distinct entries."""
+    pt, line, two, gm = pools[QQ]
+    b = pt.gb
+    inner = make_correspondence(pt, pt, 2, Matrix.identity(b, 2), [])
+    outer = make_correspondence(pt, line, 2, Matrix.identity(b, 2),
+                                [_scalar_matrix(b, [[1, 0], [0, 2]])])
+    m1 = make_corr_morphism(inner, inner, _scalar_matrix(b, [[1, 1], [0, 1]]))
+    return inner, outer, m1, identity_morphism(outer)
+
+
+def _forbid_make(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a composite was re-validated in release mode")
+    monkeypatch.setattr(corrcat, "make_correspondence", forbidden)
+    monkeypatch.setattr(corrcat, "make_corr_morphism", forbidden)
+
+
+def test_composites_are_trusted_in_release_mode(pools, monkeypatch):
+    inner, outer, m1, m2 = _composable_pair(pools)
+    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    _forbid_make(monkeypatch)
+    assert compose_objects(inner, outer).n == 4
+    composite = compose_morphisms(m2, m1)
+    # the wrong flattening no longer matches the block-diagonal inner copies
+    with pytest.raises(InvalidMorphism, match="intertwining"):
+        make_corr_morphism(composite.src, composite.dst, composite.mat)
+
+
+def test_broken_composites_are_internal_violations_in_debug_mode(pools, monkeypatch):
+    inner, outer, m1, m2 = _composable_pair(pools)
+    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    with debug_validation():
+        with pytest.raises(InternalLawViolation, match="derived CorrMorphism"):
+            compose_morphisms(m2, m1)
+    # the shuffled flattening conjugates every block matrix by one
+    # permutation, so composite objects stay valid; doubling them does not
+    def doubled(blocks, basis=None):
+        mat = flatten_blocks(blocks, basis)
+        return mat + mat
+
+    monkeypatch.setattr(pairing, "flatten_blocks", doubled)
+    with debug_validation():
+        with pytest.raises(InternalLawViolation, match="derived CorrObject"):
+            compose_objects(inner, outer)

@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcorr.errors import AmbientMismatch, ParseError, UnknownVariable
-from kcorr.exactalg import (DEGREVLEX, LEX, Ambient, Poly, PrimeField, QQ,
-                            parse_poly)
+from kcorr.exactalg import (DEGREVLEX, LEX, Ambient, Poly, PrimeField, QElem,
+                            QQ, parse_poly)
+from kcorr.varieties import make_variety
 
 AMB = Ambient(("x", "y"), QQ, DEGREVLEX)
 AMB5 = Ambient(("x", "y"), PrimeField(5), DEGREVLEX)
@@ -69,6 +71,31 @@ def test_parser_errors():
     for amb, literal in ((AMB, "x - 1/0"), (AMB5, "x - 1/5")):
         with pytest.raises(ParseError, match="line 4"):
             parse_poly(literal, amb, line=4)
+
+
+@pytest.mark.parametrize("field, equal, zeros", [
+    (PrimeField(5), [(-3, 2), (Fraction(1, 2), 3), (Fraction(-7, 3), 1)],
+     [5, -10, Fraction(5, 3)]),
+    (PrimeField(11), [(-3, 8), (Fraction(1, 2), 6), (23, 1)], [11, Fraction(-22, 7)]),
+    (QQ, [(3, Fraction(3)), (Fraction(4, 2), 2), (Fraction(-1, 3), Fraction(2, -6))],
+     [0, Fraction(0, 5)]),
+])
+def test_const_reduces_into_the_field(field, equal, zeros):
+    amb = Ambient(("x",), field, DEGREVLEX)
+    for a, b in equal:
+        assert Poly.const(amb, a) == Poly.const(amb, b)
+        assert str(Poly.const(amb, a)) == str(Poly.const(amb, b))
+    for c in zeros:
+        assert Poly.const(amb, c).is_zero()
+    if field is not QQ:
+        assert all(0 <= c < field.p for a, _ in equal
+                   for c in Poly.const(amb, a).terms.values())
+
+
+def test_const_quotient_elements_over_f11():
+    b = make_variety("A1", ["x"], [], PrimeField(11)).gb
+    assert QElem.const(b, -3) == QElem.const(b, 8)
+    assert QElem.const(b, 11) == QElem.zero(b)
 
 
 def test_print_parse_round_trip():

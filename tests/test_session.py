@@ -205,3 +205,23 @@ def test_errors_name_their_column_in_the_source_line(decl, column, message):
     with pytest.raises(ParseError, match=message) as err:
         parse_session(text)
     assert (err.value.line, err.value.column) == (3, column)
+
+
+@pytest.mark.parametrize("block, line, column, message", [
+    # an error on the block's first line keeps that line's column
+    ("corr C : V -> V { n = 1; unit = [[1 + ]];\n  gen x = [[x]] }", 3, 37,
+     "unexpected end"),
+    # an error on a continuation line names that line and its own column
+    ("corr C : V -> V {\n  n = 1; unit = [[1]]; gen x = [[x + ]] }", 4, 36,
+     "unexpected end"),
+    ("corr C : V -> V {\n  n = 1;\n  unit = [[1]]]\n  gen x = [[x]]\n}", 5, 15,
+     "unbalanced"),
+    ("variety W {\n  vars = [w];   # one coordinate\n  ideal = [w -* 1]\n}", 5, 15,
+     "unexpected token"),
+])
+def test_multiline_block_errors_name_their_source_line(block, line, column, message):
+    text = f"field Q\nvariety V {{ vars = [x]; ideal = [] }}\n{block}\n"
+    with pytest.raises(ParseError, match=message) as err:
+        parse_session(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(f"line {line}, col {column}: ")
