@@ -362,8 +362,6 @@ def parse_session(text: str) -> Session:
             try:
                 _DECL_HANDLERS[word](session, header, body, line_no, body_col)
             except ParseError as exc:
-                if len(body_chunks) == 1:
-                    raise
                 raise ParseError(exc.detail, *_block_position(
                     body_chunks, line_no, body_col, exc.column)) from None
             except ResolveError:

@@ -240,8 +240,9 @@ def _composable_pair(pools):
 def _forbid_make(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a composite was re-validated in release mode")
-    monkeypatch.setattr(corrcat, "make_correspondence", forbidden)
-    monkeypatch.setattr(corrcat, "make_corr_morphism", forbidden)
+    for module in (corrcat, pairing):
+        for name in ("make_correspondence", "make_corr_morphism"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
 
 
 def test_composites_are_trusted_in_release_mode(pools, monkeypatch):
