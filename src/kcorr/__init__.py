@@ -23,9 +23,9 @@ from .k0 import (K0Class, K0Ledger, k0_class, k0_compose, k0_register,
                  k0_register_sum, pt_conjugation_certificate, rank,
                  transport_certificate)
 from .laws import LAW_NAMES, LawReport, law_suite
-from .pairing import (FlattenMap, compose_morphisms, compose_objects,
-                      flatten_blocks, strict_associativity_check,
-                      sum_split_certificate_inner, sum_split_certificate_outer)
+from .pairing import (compose_morphisms, compose_objects, flatten_blocks,
+                      strict_associativity_check, sum_split_certificate_inner,
+                      sum_split_certificate_outer)
 from .randomgen import GenBounds, derive_seed, random_aut_object, random_object
 from .session import Session, parse_session, print_session
 from .varieties import (AffVariety, VarMorphism, compose_maps, gm_power,

@@ -1,6 +1,10 @@
 """Command-line interface: session execution, single operations, law runs.
 
-Exit codes: 0 success, 1 law failure, 2 input error.
+Exit codes: 0 success, 1 law failure, 2 input error.  An input error prints
+as ``error: message``; one that a session line causes names that line first,
+``error: line L[, col C]: message``.  ``parse_session`` places the errors of
+declarations and ``run_session`` those of commands; a command given on the
+command line has no line to name.
 """
 
 from __future__ import annotations
@@ -42,14 +46,14 @@ def _print_declared(out, name, value):
         out(line)
 
 
-def cmd_validate(session: Session, args, out, line) -> int:
+def cmd_validate(session: Session, args, out) -> int:
     for kind, name in session.decls:
         out(f"ok {kind} {name}")
     out(f"validated {len(session.decls)} declarations")
     return EXIT_OK
 
 
-def cmd_compose(session: Session, args, out, line) -> int:
+def cmd_compose(session: Session, args, out) -> int:
     first = _get(session, args[0], "corrs")
     second = _get(session, args[1], "corrs")
     composite = pairing.compose_objects(first, second)
@@ -57,45 +61,45 @@ def cmd_compose(session: Session, args, out, line) -> int:
     return EXIT_OK
 
 
-def cmd_pullback(session: Session, args, out, line) -> int:
+def cmd_pullback(session: Session, args, out) -> int:
     f = _get(session, args[0], "maps")
     obj = _get(session, args[1], "corrs")
     _print_declared(out, f"{args[0]}_pull_{args[1]}", functors.pullback_obj(f, obj))
     return EXIT_OK
 
 
-def cmd_pushforward(session: Session, args, out, line) -> int:
+def cmd_pushforward(session: Session, args, out) -> int:
     g = _get(session, args[0], "maps")
     obj = _get(session, args[1], "corrs")
     _print_declared(out, f"{args[0]}_push_{args[1]}", functors.pushforward_obj(g, obj))
     return EXIT_OK
 
 
-def cmd_box(session: Session, args, out, line) -> int:
+def cmd_box(session: Session, args, out) -> int:
     f = _get(session, args[0], "maps")
     obj = _get(session, args[1], "corrs")
     _print_declared(out, f"{args[0]}_box_{args[1]}", functors.box_product(f, obj))
     return EXIT_OK
 
 
-def cmd_rho(session: Session, args, out, line) -> int:
+def cmd_rho(session: Session, args, out) -> int:
     obj = _get(session, args[0], "corrs")
     _print_declared(out, args[0], functors.to_automorphism_object(obj))
     return EXIT_OK
 
 
-def cmd_rho_inv(session: Session, args, out, line) -> int:
+def cmd_rho_inv(session: Session, args, out) -> int:
     aut = _get(session, args[0], "auts")
     _print_declared(out, f"{args[0]}_torus", functors.to_torus_object(aut))
     return EXIT_OK
 
 
-def cmd_compare_bimodule(session: Session, args, out, line) -> int:
+def cmd_compare_bimodule(session: Session, args, out) -> int:
     first = _get(session, args[0], "corrs")
     second = _get(session, args[1], "corrs")
     literal = " ".join(args[2:])
     literal_col = len(" ".join(["compare-bimodule", *args[:2]])) + 1
-    mat = _parse_matrix((literal, literal_col), first.X, line)
+    mat = _parse_matrix((literal, literal_col), first.X)
     try:
         make_corr_morphism(first, second, mat)
         corr_valid = True
@@ -112,7 +116,7 @@ def cmd_compare_bimodule(session: Session, args, out, line) -> int:
     return EXIT_OK
 
 
-def cmd_k0(session: Session, args, out, line) -> int:
+def cmd_k0(session: Session, args, out) -> int:
     names = args if args else list(session.corrs)
     groups: dict = {}
     for name in names:
@@ -174,7 +178,7 @@ LAWS_PARSER.add_argument("--format", dest="fmt", default="text",
 LAWS_PARSER.add_argument("--law", action="append", choices=LAW_NAMES)
 
 
-def cmd_laws(session, args, out, line) -> int:
+def cmd_laws(session, args, out) -> int:
     opts = LAWS_PARSER.parse_args(args)
     fields = (parse_field(opts.field),) if opts.field else None
     report = law_suite(opts.seed, opts.cases, fields=fields, laws=opts.law)
@@ -196,24 +200,27 @@ SESSION_COMMANDS = {
 }
 
 
-def execute_command(session: Session | None, word: str, args, out,
-                    line: int | None = None) -> int:
-    """Run one command; ``line`` is its session line, None on the command line."""
+def execute_command(session: Session | None, word: str, args, out) -> int:
+    """Run one command, from a session or from the command line."""
     if word not in SESSION_COMMANDS:
         raise ResolveError(f"unknown command {word!r}")
     handler, min_args, max_args = SESSION_COMMANDS[word]
     if len(args) < min_args or (max_args is not None and len(args) > max_args):
         raise ResolveError(f"command {word} takes "
                            f"{min_args}{'+' if max_args is None else ''} arguments")
-    return handler(session, args, out, line)
+    return handler(session, args, out)
 
 
 def run_session(session: Session, out) -> int:
+    """Run a session's commands; an error names the line of its command."""
     code = EXIT_OK
     for command, line in zip(session.commands, session.command_lines):
         out(f"> {command}")
         word, *args = command.split()
-        code = max(code, execute_command(session, word, args, out, line))
+        try:
+            code = max(code, execute_command(session, word, args, out))
+        except KcorrError as exc:
+            raise type(exc)(exc.detail, line, exc.column) from exc
     return code
 
 

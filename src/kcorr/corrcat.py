@@ -15,7 +15,7 @@ from . import config
 from .errors import (AmbientMismatch, InternalLawViolation, InvalidObject,
                      InvalidMorphism, KcorrError, ShapeError, UnknownVariable)
 from .exactalg import Matrix, Poly, QElem
-from .varieties import AffVariety
+from .varieties import AffVariety, identity_map
 
 
 def _power(action_mats, i: int, e: int, powers: dict) -> Matrix:
@@ -197,7 +197,6 @@ def graph_object(f) -> CorrObject:
 
 
 def identity_object(X: AffVariety) -> CorrObject:
-    from .varieties import identity_map
     return graph_object(identity_map(X))
 
 

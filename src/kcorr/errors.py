@@ -1,8 +1,26 @@
-"""Exception hierarchy shared by every kcorr module."""
+"""Exception hierarchy shared by every kcorr module.
+
+Any error may carry a position in a session file.  Code that reads text
+raises with a ``column`` at most; only ``session.parse_session`` and
+``cli.run_session`` know source lines, and re-raise with the ``line`` added.
+"""
 
 
 class KcorrError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``detail`` is the bare message; with a line the error reads
+    ``line L, col C: detail``, or ``line L: detail`` without a column.
+    """
+
+    def __init__(self, detail="", line=None, column=None):
+        self.detail = detail
+        self.line = line
+        self.column = column
+        if line is not None:
+            where = f"line {line}" if column is None else f"line {line}, col {column}"
+            detail = f"{where}: {detail}"
+        super().__init__(detail)
 
 
 class AmbientMismatch(KcorrError):
@@ -63,14 +81,6 @@ class GenerationFailed(KcorrError):
 
 class ParseError(KcorrError):
     """Syntax error in a polynomial literal or session file."""
-
-    def __init__(self, message, line=None, column=None):
-        self.detail = message
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"line {line}, col {column}: {message}"
-        super().__init__(message)
 
 
 class ResolveError(KcorrError):

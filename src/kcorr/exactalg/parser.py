@@ -150,10 +150,9 @@ class _ExprParser:
             try:
                 return Poly.variable(self.ambient, value)
             except UnknownVariable:
-                where = f" (line {self.line}, col {tok[2]})" if self.line else ""
                 raise UnknownVariable(
-                    f"unknown variable {value!r}{where}; ambient has {self.ambient.vars}"
-                ) from None
+                    f"unknown variable {value!r}; ambient has {self.ambient.vars}",
+                    self.line, tok[2]) from None
         self.error(f"unexpected token {value!r}", tok)
 
 

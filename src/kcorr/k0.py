@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corrcat import (CorrObject, IsoCertificate, direct_sum,
+from .corrcat import (CorrObject, IsoCertificate, direct_sum, identity_morphism,
                       make_corr_morphism, verify_iso)
 from .errors import (AmbientMismatch, InvalidCertificate, NotIntegral,
                      UnknownObject)
@@ -237,7 +237,6 @@ def transport_certificate(cert: IsoCertificate, other: CorrObject,
     Well-definedness of class composition is enforced by tests through these
     transported witnesses.
     """
-    from .corrcat import identity_morphism
     ident = identity_morphism(other)
     if side == "right":
         return IsoCertificate(compose_morphisms(ident, cert.fwd),

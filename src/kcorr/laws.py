@@ -25,7 +25,7 @@ from . import functors
 from . import pairing
 from .randomgen import (GenBounds, derive_seed, random_aut_object,
                         random_endo_matrix, random_morphism_from,
-                        random_object, sample_map)
+                        random_object, random_scalar, sample_map)
 from .session import Session, format_decls, format_field
 from .varieties import (compose_maps, gm_power, identity_map, make_variety,
                         point, product_morphism)
@@ -209,12 +209,10 @@ def law_pairing_bifunctor(ctx: Ctx, rng: random.Random):
                                         compose_vertical(b1, a1))
         rhs = compose_vertical(pairing.compose_morphisms(b2, b1),
                                pairing.compose_morphisms(a2, a1))
-        return lhs.mat == rhs.mat and lhs.src == rhs.src and lhs.dst == rhs.dst
+        return lhs == rhs
 
     ctx.check("interchange", interchange, a1=a1, b1=b1, a2=a2, b2=b2)
 
-    from .corrcat import make_corr_morphism
-    from .randomgen import random_scalar
     c = random_scalar(ctx.field, rng)
     alt = make_corr_morphism(a1.src, a1.dst,
                              a1.dst.p * a1.mat * random_endo_matrix(inner, rng))
@@ -291,7 +289,7 @@ def law_pairing_square(ctx: Ctx, rng: random.Random):
     def square():
         lhs = pairing.compose_morphisms(m3, pairing.compose_morphisms(m2, m1))
         rhs = pairing.compose_morphisms(pairing.compose_morphisms(m3, m2), m1)
-        return lhs.mat == rhs.mat and lhs.src == rhs.src and lhs.dst == rhs.dst
+        return lhs == rhs
 
     ctx.check("morphism-associativity", square, m1=m1, m2=m2, m3=m3)
 
@@ -401,7 +399,7 @@ def law_box_compose_morphisms(ctx: Ctx, rng: random.Random):
                                pairing.compose_morphisms(m2, m1))
         rhs = pairing.compose_morphisms(functors.box_mor(f2, m2),
                                         functors.box_mor(f1, m1))
-        return lhs.mat == rhs.mat and lhs.src == rhs.src and lhs.dst == rhs.dst
+        return lhs == rhs
 
     ctx.check("box-compose-morphisms", law, f1=f1, f2=f2, m1=m1, m2=m2)
 

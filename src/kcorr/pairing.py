@@ -10,30 +10,10 @@ degenerates to the classical Kronecker product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AmbientMismatch, InternalLawViolation, ShapeError
 from .exactalg import Matrix, QElem
 from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, corner_eval,
                       direct_sum, verify_iso, _trusted_morphism, _trusted_object)
-
-
-@dataclass(frozen=True)
-class FlattenMap:
-    """Index bookkeeping for the block flattening: e_{i,a} -> e_{i + a*inner}."""
-
-    inner: int  # block size
-    outer: int  # number of blocks per side
-
-    @property
-    def size(self) -> int:
-        return self.inner * self.outer
-
-    def flat(self, block_index: int, inner_index: int) -> int:
-        return inner_index + block_index * self.inner
-
-    def split(self, flat_index: int) -> tuple[int, int]:
-        return flat_index // self.inner, flat_index % self.inner
 
 
 def flatten_blocks(blocks, basis=None) -> Matrix:

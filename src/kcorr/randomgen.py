@@ -19,9 +19,10 @@ from itertools import product as iter_product
 from .corrcat import (CorrMorphism, CorrObject, make_corr_morphism,
                       make_correspondence, zero_object)
 from .errors import GenerationFailed
-from .exactalg import Ambient, Matrix, Poly, QElem
+from .exactalg import Matrix, Poly, QElem
 from .functors import AutObject, make_aut_object
-from .varieties import AffVariety, VarMorphism, make_morphism
+from .varieties import (AffVariety, VarMorphism, broken_relation, make_morphism,
+                         point)
 
 
 def derive_seed(*parts) -> int:
@@ -77,12 +78,10 @@ def _scalar_points(y: AffVariety):
     cached = _scalar_point_cache.get(y)
     if cached is not None:
         return cached
-    scalars = Ambient((), y.field, y.order)
-    points = []
-    for combo in iter_product(y.field.elements_sample(), repeat=len(y.vars)):
-        values = {v: Poly.const(scalars, c) for v, c in zip(y.vars, combo)}
-        if all(g.substitute(values, scalars).is_zero() for g in y.ideal_gens):
-            points.append(combo)
+    pt = point(y.field, y.order)
+    combos = iter_product(y.field.elements_sample(), repeat=len(y.vars))
+    points = [combo for combo in combos
+              if broken_relation(pt, y, [QElem.const(pt.gb, c) for c in combo]) is None]
     _scalar_point_cache[y] = points
     return points
 
@@ -96,9 +95,7 @@ def sample_point(x: AffVariety, y: AffVariety, rng: random.Random,
         return tuple(x.qelem(random_poly(x, rng, max_deg)) for _ in y.vars)
     for _ in range(budget):
         candidate = tuple(x.qelem(random_poly(x, rng, max_deg)) for _ in y.vars)
-        reps = {v: c.rep for v, c in zip(y.vars, candidate)}
-        if all(QElem(x.gb, g.substitute(reps, x.ambient)).is_zero()
-               for g in y.ideal_gens):
+        if broken_relation(x, y, candidate) is None:
             return candidate
     scalars = _scalar_points(y)
     if not scalars:

@@ -6,6 +6,12 @@ validated in file order, so every reference must point backwards.  Printing
 is canonical (normal-form entries, fixed layout) and ``parse(print(s))``
 reproduces the session exactly.  ``Session.declare`` adds values built in
 code, so CLI results and law-failure inputs print as sessions too.
+
+The reader is the only code here that knows source lines.  Text helpers and
+declaration handlers raise errors with a column at most, counted along the
+statement's lines joined by blanks; ``parse_session`` re-raises every
+``KcorrError`` as the same type with its source line and column, so the
+message reads ``line L, col C: message`` (``line L: message`` without one).
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ def _stripped(text: str, col: int):
     return text.strip(), col + len(text) - len(text.lstrip())
 
 
-def _split_top_level(body: str, sep: str, line: int, col: int):
+def _split_top_level(body: str, sep: str, col: int):
     """Split ``body``, at offset ``col``, on ``sep`` outside brackets and
     parentheses, into spans; errors name the bracket at fault."""
     parts = []
@@ -119,48 +125,48 @@ def _split_top_level(body: str, sep: str, line: int, col: int):
             opened.append(k)
         elif ch in "])":
             if not opened:
-                raise ParseError("unbalanced brackets", line, col + k + 1)
+                raise ParseError("unbalanced brackets", column=col + k + 1)
             opened.pop()
         elif ch == sep and not opened:
             parts.append(_stripped(body[start:k], col + start))
             start = k + 1
     if opened:
-        raise ParseError("unbalanced brackets", line, col + opened[-1] + 1)
+        raise ParseError("unbalanced brackets", column=col + opened[-1] + 1)
     parts.append(_stripped(body[start:], col + start))
     return parts
 
 
-def _parse_bracket_list(span, line: int):
+def _parse_bracket_list(span):
     """The elements of the ``[...]`` list in a span, as spans."""
     text, col = _stripped(*span)
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"expected a [...] list, got {text!r}", line, col + 1)
-    _split_top_level(text, ",", line, col)  # the list's own brackets must match
+        raise ParseError(f"expected a [...] list, got {text!r}", column=col + 1)
+    _split_top_level(text, ",", col)  # the list's own brackets must match
     if not text[1:-1].strip():
         return []
-    return _split_top_level(text[1:-1], ",", line, col + 1)
+    return _split_top_level(text[1:-1], ",", col + 1)
 
 
-def _parse_matrix(span, variety: AffVariety, line: int) -> Matrix:
-    row_spans = _parse_bracket_list(span, line)
-    rows = [[QElem(variety.gb, parse_poly(e, variety.ambient, line, e_col))
-             for e, e_col in _parse_bracket_list(row, line)]
+def _parse_matrix(span, variety: AffVariety) -> Matrix:
+    row_spans = _parse_bracket_list(span)
+    rows = [[QElem(variety.gb, parse_poly(e, variety.ambient, col_offset=e_col))
+             for e, e_col in _parse_bracket_list(row)]
             for row in row_spans]
     ncols = len(rows[0]) if rows else 0
     for row, (_, row_col) in zip(rows, row_spans):
         if len(row) != ncols:
-            raise ParseError("ragged matrix literal", line, row_col + 1)
+            raise ParseError("ragged matrix literal", column=row_col + 1)
     return Matrix(variety.gb, rows, len(rows), ncols)
 
 
-def _parse_body(body: str, line: int, col: int):
+def _parse_body(body: str, col: int):
     """(key, value span) pairs from a ``{...}`` block; keys may repeat."""
     pairs = []
-    for chunk, chunk_col in _split_top_level(body, ";", line, col):
+    for chunk, chunk_col in _split_top_level(body, ";", col):
         if not chunk:
             continue
         if "=" not in chunk:
-            raise ParseError(f"expected key = value, got {chunk!r}", line, chunk_col + 1)
+            raise ParseError(f"expected key = value, got {chunk!r}", column=chunk_col + 1)
         key, value = chunk.split("=", 1)
         pairs.append((key.strip(), _stripped(value, chunk_col + len(key) + 1)))
     return pairs
@@ -169,126 +175,117 @@ def _parse_body(body: str, line: int, col: int):
 # -- declaration handling -----------------------------------------------------
 
 
-def _expect_unique(session: Session, name: str, line: int):
+def _expect_unique(session: Session, name: str):
     if session.is_declared(name):
-        raise ParseError(f"name {name!r} is already declared", line, 1)
+        raise ParseError(f"name {name!r} is already declared", column=1)
 
 
-def _arrow_split(header: str, line: int):
-    if ":" not in header or "->" not in header:
-        raise ParseError("expected NAME : SRC -> DST", line, 1)
-    name, rest = header.split(":", 1)
-    src, dst = rest.split("->", 1)
-    return name.strip(), src.strip(), dst.strip()
+def _resolve_arrow(session: Session, header: str, kind: str, ends: str):
+    """Resolve a ``NAME : SRC -> DST`` header: NAME must be new, and SRC and
+    DST name declared values of kind ``ends``."""
+    name, _, arrow = header.partition(":")
+    if "->" not in arrow:
+        raise ParseError("expected NAME : SRC -> DST", column=1)
+    name = name.strip()
+    _expect_unique(session, name)
+    table = getattr(session, _TABLES[ends])
+    src, dst = (table.get(end.strip()) for end in arrow.split("->", 1))
+    if src is None or dst is None:
+        raise ResolveError(f"{kind} {name!r} references undeclared {ends}")
+    return name, src, dst
 
 
-def _declare_variety(session, header, body, line, col):
+def _declare_variety(session, header, body, col):
     name = header.strip()
-    _expect_unique(session, name, line)
-    fields = dict(_parse_body(body, line, col))
+    _expect_unique(session, name)
+    fields = dict(_parse_body(body, col))
     if set(fields) - {"vars", "ideal"}:
-        raise ParseError(f"variety block takes vars and ideal, got {sorted(fields)}", line, 1)
-    var_names = [v for v, _ in _parse_bracket_list(fields.get("vars", ("[]", 0)), line)]
+        raise ParseError(f"variety block takes vars and ideal, got {sorted(fields)}",
+                         column=1)
+    var_names = [v for v, _ in _parse_bracket_list(fields.get("vars", ("[]", 0)))]
     variety = make_variety(name, var_names, [], session.field)
-    gens = [parse_poly(g, variety.ambient, line, g_col)
-            for g, g_col in _parse_bracket_list(fields.get("ideal", ("[]", 0)), line)]
+    gens = [parse_poly(g, variety.ambient, col_offset=g_col)
+            for g, g_col in _parse_bracket_list(fields.get("ideal", ("[]", 0)))]
     session.register("variety", name, make_variety(name, var_names, gens, session.field))
 
 
-def _declare_map(session, header, body, line, col):
-    name, src_name, dst_name = _arrow_split(header, line)
-    _expect_unique(session, name, line)
-    src = session.varieties.get(src_name)
-    dst = session.varieties.get(dst_name)
-    if src is None or dst is None:
-        raise ResolveError(f"map {name!r} references undeclared variety (line {line})")
-    assignments = dict(_parse_body(body, line, col))
+def _declare_map(session, header, body, col):
+    name, src, dst = _resolve_arrow(session, header, "map", "variety")
+    assignments = dict(_parse_body(body, col))
     images = []
     for v in dst.vars:
         if v not in assignments:
-            raise ParseError(f"map {name!r} missing image for {v!r}", line, 1)
+            raise ParseError(f"map {name!r} missing image for {v!r}", column=1)
         image, image_col = assignments.pop(v)
-        images.append(parse_poly(image, src.ambient, line, image_col))
+        images.append(parse_poly(image, src.ambient, col_offset=image_col))
     if assignments:
         raise ParseError(f"map {name!r} assigns unknown variables {sorted(assignments)}",
-                         line, 1)
+                         column=1)
     session.register("map", name, make_morphism(src, dst, images))
 
 
-def _declare_corr(session, header, body, line, col):
-    name, src_name, dst_name = _arrow_split(header, line)
-    _expect_unique(session, name, line)
-    x = session.varieties.get(src_name)
-    y = session.varieties.get(dst_name)
-    if x is None or y is None:
-        raise ResolveError(f"corr {name!r} references undeclared variety (line {line})")
+def _declare_corr(session, header, body, col):
+    name, x, y = _resolve_arrow(session, header, "corr", "variety")
     n = None
     unit = None
     gens = {}
-    for key, value in _parse_body(body, line, col):
+    for key, value in _parse_body(body, col):
         if key == "n":
             if not value[0].isdecimal():
                 raise ParseError(f"n must be a natural number, got {value[0]!r}",
-                                 line, value[1] + 1)
+                                 column=value[1] + 1)
             n = int(value[0])
         elif key == "unit":
-            unit = _parse_matrix(value, x, line)
+            unit = _parse_matrix(value, x)
         elif key.startswith("gen "):
-            gens[key[4:].strip()] = _parse_matrix(value, x, line)
+            gens[key[4:].strip()] = _parse_matrix(value, x)
         else:
-            raise ParseError(f"unknown corr field {key!r}", line, 1)
+            raise ParseError(f"unknown corr field {key!r}", column=1)
     if n is None or unit is None:
-        raise ParseError(f"corr {name!r} needs n and unit", line, 1)
+        raise ParseError(f"corr {name!r} needs n and unit", column=1)
     images = []
     for v in y.vars:
         if v not in gens:
-            raise ParseError(f"corr {name!r} missing gen {v!r}", line, 1)
+            raise ParseError(f"corr {name!r} missing gen {v!r}", column=1)
         images.append(gens.pop(v))
     if gens:
         raise ParseError(f"corr {name!r} has gens for unknown variables {sorted(gens)}",
-                         line, 1)
+                         column=1)
     session.register("corr", name, make_correspondence(x, y, n, unit, images))
 
 
-def _declare_morphism(session, header, body, line, col):
-    name, src_name, dst_name = _arrow_split(header, line)
-    _expect_unique(session, name, line)
-    src = session.corrs.get(src_name)
-    dst = session.corrs.get(dst_name)
-    if src is None or dst is None:
-        raise ResolveError(f"morphism {name!r} references undeclared corr (line {line})")
-    fields = dict(_parse_body(body, line, col))
+def _declare_morphism(session, header, body, col):
+    name, src, dst = _resolve_arrow(session, header, "morphism", "corr")
+    fields = dict(_parse_body(body, col))
     if set(fields) != {"matrix"}:
         raise ParseError(f"morphism block takes exactly matrix, got {sorted(fields)}",
-                         line, 1)
-    mat = _parse_matrix(fields["matrix"], src.X, line)
+                         column=1)
+    mat = _parse_matrix(fields["matrix"], src.X)
     if mat.nrows == 0 and mat.ncols == 0 and (dst.n == 0 or src.n == 0):
         mat = Matrix.zeros(src.X.gb, dst.n, src.n)
     session.register("morphism", name, make_corr_morphism(src, dst, mat))
 
 
-def _declare_aut(session, header, body, line, col):
+def _declare_aut(session, header, body, col):
     name = header.strip()
-    _expect_unique(session, name, line)
-    fields = dict(_parse_body(body, line, col))
+    _expect_unique(session, name)
+    fields = dict(_parse_body(body, col))
     if set(fields) != {"base", "theta", "theta_inv"}:
-        raise ParseError("aut block takes base, theta and theta_inv", line, 1)
+        raise ParseError("aut block takes base, theta and theta_inv", column=1)
     base_name = fields["base"][0]
     base = session.corrs.get(base_name)
     if base is None:
-        raise ResolveError(f"aut {name!r} references undeclared corr {base_name!r} "
-                           f"(line {line})")
-    theta_names = [t for t, _ in _parse_bracket_list(fields["theta"], line)]
-    inv_names = [t for t, _ in _parse_bracket_list(fields["theta_inv"], line)]
+        raise ResolveError(f"aut {name!r} references undeclared corr {base_name!r}")
+    theta_names = [t for t, _ in _parse_bracket_list(fields["theta"])]
+    inv_names = [t for t, _ in _parse_bracket_list(fields["theta_inv"])]
     if len(theta_names) != len(inv_names):
-        raise ParseError("theta and theta_inv have different lengths", line, 1)
+        raise ParseError("theta and theta_inv have different lengths", column=1)
     pairs = []
     for t, s in zip(theta_names, inv_names):
         fwd = session.morphisms.get(t)
         bwd = session.morphisms.get(s)
         if fwd is None or bwd is None:
-            raise ResolveError(f"aut {name!r} references undeclared morphism "
-                               f"(line {line})")
+            raise ResolveError(f"aut {name!r} references undeclared morphism")
         pairs.append((fwd, bwd))
     session.register("aut", name, make_aut_object(base, pairs))
     session.aut_specs[name] = (base_name, tuple(theta_names), tuple(inv_names))
@@ -303,77 +300,71 @@ _DECL_HANDLERS = {
 }
 
 
-def _block_position(chunks, line_no: int, body_col: int, column: int):
-    """Source (line, col) of ``column``, counted along a block whose lines
-    ``chunks`` are joined by single blanks, the first starting at offset
-    ``body_col`` of line ``line_no`` and the others at offset 0."""
-    offset = column - 1 - body_col
+def _read_statement(session: Session, word: str, text: str):
+    """Carry out the statement ``word ...`` whose source lines, joined by
+    blanks, are ``text``; its errors carry at most a column along ``text``."""
+    rest = text.strip()[len(word):].strip()
+    if word == "format":
+        if rest != str(FORMAT_VERSION):
+            raise ParseError(f"unsupported format {rest!r}", column=1)
+    elif word == "field":
+        if session.decls:
+            raise ParseError("field must precede all declarations", column=1)
+        session.field = parse_field(rest.replace(" ", ":", 1))
+    elif word in _DECL_HANDLERS:
+        if "{" not in rest:
+            raise ParseError(f"{word} declaration needs a {{...}} block", column=1)
+        body_col = text.index("{") + 1
+        header = text[:body_col - 1].strip()[len(word):]
+        _DECL_HANDLERS[word](session, header, text[body_col:text.rfind("}")], body_col)
+    else:
+        raise ParseError(f"unknown statement {word!r}", column=1)
+
+
+def _block_position(chunks, line_no: int, column: int):
+    """Source (line, col) of ``column``, counted along the lines ``chunks``
+    joined by single blanks, the first of them being line ``line_no``."""
+    offset = column - 1
     for k, chunk in enumerate(chunks):
         if offset <= len(chunk) or k == len(chunks) - 1:
-            return line_no + k, offset + 1 + (body_col if k == 0 else 0)
+            return line_no + k, offset + 1
         offset -= len(chunk) + 1
 
 
 def parse_session(text: str) -> Session:
-    """Parse and resolve a session; declarations validate in file order."""
+    """Parse and resolve a session; declarations validate in file order.
+
+    The reader alone knows source lines: a statement's errors carry at most
+    a column, and are re-raised here, as the same type, naming their line.
+    """
     session = Session()
-    lines = text.splitlines()
+    lines = [_strip_comment(line) for line in text.splitlines()]
     i = 0
-    saw_decl = False
     while i < len(lines):
         line_no = i + 1
-        raw = _strip_comment(lines[i]).strip()
+        chunks = [lines[i]]
         i += 1
-        if not raw:
+        if not chunks[0].strip():
             continue
-        word = raw.split(None, 1)[0]
-        if word == "format":
-            version = raw.split(None, 1)[1].strip() if " " in raw else ""
-            if version != str(FORMAT_VERSION):
-                raise ParseError(f"unsupported format {version!r}", line_no, 1)
-            continue
-        if word == "field":
-            if saw_decl:
-                raise ParseError("field must precede all declarations", line_no, 1)
-            spec = raw.split(None, 1)[1].strip() if " " in raw else ""
-            try:
-                session.field = parse_field(spec.replace(" ", ":", 1))
-            except KcorrError as exc:
-                raise ParseError(str(exc), line_no, 1) from exc
-            continue
-        if word in _DECL_HANDLERS:
-            saw_decl = True
-            rest = raw[len(word):].strip()
-            if "{" not in rest:
-                raise ParseError(f"{word} declaration needs a {{...}} block", line_no, 1)
-            header, brace_part = rest.split("{", 1)
-            body_col = lines[line_no - 1].index("{") + 1
-            depth = brace_part.count("{") - brace_part.count("}") + 1
-            body_chunks = [brace_part]
-            while depth > 0:
-                if i >= len(lines):
-                    raise ParseError("unterminated block", line_no, 1)
-                cont = _strip_comment(lines[i])
-                i += 1
-                depth += cont.count("{") - cont.count("}")
-                body_chunks.append(cont)
-            body = " ".join(body_chunks)
-            body = body[:body.rfind("}")]
-            try:
-                _DECL_HANDLERS[word](session, header, body, line_no, body_col)
-            except ParseError as exc:
-                raise ParseError(exc.detail, *_block_position(
-                    body_chunks, line_no, body_col, exc.column)) from None
-            except ResolveError:
-                raise
-            except KcorrError as exc:
-                raise type(exc)(f"in {word} at line {line_no}: {exc}") from exc
-            continue
+        word = chunks[0].split(None, 1)[0]
         if word in COMMAND_WORDS:
-            session.commands.append(" ".join(raw.split()))
+            session.commands.append(" ".join(chunks[0].split()))
             session.command_lines.append(line_no)
             continue
-        raise ParseError(f"unknown statement {word!r}", line_no, 1)
+        # a declaration block runs on until its braces balance
+        depth = chunks[0].count("{") - chunks[0].count("}")
+        while depth > 0 and word in _DECL_HANDLERS:
+            if i >= len(lines):
+                raise ParseError("unterminated block", line_no, 1)
+            chunks.append(lines[i])
+            depth += lines[i].count("{") - lines[i].count("}")
+            i += 1
+        try:
+            _read_statement(session, word, " ".join(chunks))
+        except KcorrError as exc:
+            at = (line_no,) if exc.column is None else _block_position(
+                chunks, line_no, exc.column)
+            raise type(exc)(exc.detail, *at) from exc
     return session
 
 

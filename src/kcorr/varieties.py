@@ -112,30 +112,31 @@ def point(field: Field, order: str = DEGREVLEX) -> AffVariety:
     return make_variety("pt", [], [], field, order)
 
 
+def _torus_vars(n: int) -> tuple:
+    return tuple(name for i in range(1, n + 1) for name in (f"t{i}", f"s{i}"))
+
+
+def _torus_relations(ambient: Ambient, n: int) -> tuple:
+    """The generators t_i*s_i - 1 of the rank-n torus, over ``ambient``."""
+    return tuple(Poly.variable(ambient, f"t{i}") * Poly.variable(ambient, f"s{i}")
+                 - Poly.one(ambient) for i in range(1, n + 1))
+
+
 def gm_power(n: int, field: Field, order: str = DEGREVLEX) -> AffVariety:
     """The split torus of rank n: k[t1,s1,..,tn,sn]/(t_i*s_i - 1)."""
     if n <= 0:
         raise InvalidArity(f"torus rank must be positive, got {n}")
-    variables = []
-    for i in range(1, n + 1):
-        variables.extend((f"t{i}", f"s{i}"))
-    ambient = Ambient(tuple(variables), field, order)
-    gens = [
-        Poly.variable(ambient, f"t{i}") * Poly.variable(ambient, f"s{i}")
-        - Poly.one(ambient)
-        for i in range(1, n + 1)
-    ]
-    return AffVariety(f"Gm{n}", tuple(variables), tuple(gens), field, order)
+    variables = _torus_vars(n)
+    gens = _torus_relations(Ambient(variables, field, order), n)
+    return AffVariety(f"Gm{n}", variables, gens, field, order)
 
 
 def torus_arity(v: AffVariety) -> int | None:
     """Rank n when ``v`` is presented exactly like ``gm_power(n)``, else None."""
-    m = len(v.vars)
-    if m == 0 or m % 2 or v.factors is not None:
+    n = len(v.vars) // 2
+    if n == 0 or v.factors is not None or v.vars != _torus_vars(n):
         return None
-    n = m // 2
-    probe = gm_power(n, v.field, v.order)
-    if v.vars != probe.vars or set(v.ideal_gens) != set(probe.ideal_gens):
+    if set(v.ideal_gens) != set(_torus_relations(v.ambient, n)):
         return None
     return n
 
@@ -264,13 +265,23 @@ def make_morphism(source: AffVariety, target: AffVariety, images) -> VarMorphism
         raise InvalidArity(
             f"expected {len(target.vars)} images for {target.name}, got {len(images)}")
     images = tuple(source.qelem(v) for v in images)
-    image_map = {v: img.rep for v, img in zip(target.vars, images)}
+    broken = broken_relation(source, target, images)
+    if broken:
+        rel, value = broken
+        raise NotWellDefined(f"relation {rel} of {target.name} maps to {value}, not 0")
+    return VarMorphism(source, target, images)
+
+
+def broken_relation(source: AffVariety, target: AffVariety, coords):
+    """The first relation of ``target`` that the k[source]-point ``coords``
+    (a QElem per target variable) does not satisfy, with its value there;
+    None when it satisfies them all."""
+    image_map = {v: c.rep for v, c in zip(target.vars, coords)}
     for rel in target.ideal_gens:
         value = QElem(source.gb, rel.substitute(image_map, source.ambient))
         if not value.is_zero():
-            raise NotWellDefined(
-                f"relation {rel} of {target.name} maps to {value}, not 0")
-    return VarMorphism(source, target, images)
+            return rel, value
+    return None
 
 
 def identity_map(v: AffVariety) -> VarMorphism:

@@ -138,8 +138,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", str(bad_laws)]) == 2
     assert main(["laws", "--law", "no-such-family"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("error: laws:") == 2 and "usage" not in err
+    session_err, cli_err = capsys.readouterr().err.splitlines()
+    assert session_err == "error: line 17: laws: argument --cases: invalid int value: 'x'"
+    # argparse quotes the list of choices that follows differently across versions
+    assert cli_err.startswith(
+        "error: laws: argument --law: invalid choice: 'no-such-family' (choose from ")
 
 
 def test_zero_denominator_in_prime_field_exits_2(tmp_path, capsys):
@@ -164,6 +167,22 @@ def test_command_errors_name_their_session_line(tmp_path, capsys, session_file):
     s = session.parse_session(path.read_text(encoding="utf-8"))
     assert s.command_lines == [17]
     assert session.parse_session(session.print_session(s)) == s
+    # every command's error names its line, not only a bad matrix literal
+    path = tmp_path / "undeclared.kc"
+    path.write_text("format 1\nfield Q\nvariety pt { vars = []; ideal = [] }\n"
+                    "compose C D\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: no corr named 'C' in the session\n")
+    assert main(["compose", str(path), "C", "D"]) == 2
+    assert capsys.readouterr().err == "error: no corr named 'C' in the session\n"
+
+
+def test_unknown_variable_in_a_block_names_its_line(capsys):
+    path = Path(__file__).resolve().parent / "data" / "unknown_variable_in_block.kc"
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 5, col 34: unknown variable 'z'; ambient has ('x',)\n")
 
 
 def test_printed_results_reparse(session_file, capsys):

@@ -14,7 +14,7 @@ from kcorr.corrcat import (compose_vertical, direct_sum, graph_object,
 from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
                           ShapeError)
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ, scalar_value
-from kcorr.pairing import (FlattenMap, compose_morphisms, compose_objects,
+from kcorr.pairing import (compose_morphisms, compose_objects,
                            flatten_blocks, strict_associativity_check,
                            sum_split_certificate_inner,
                            sum_split_certificate_outer)
@@ -42,14 +42,6 @@ def _scalar_matrix(basis, rows):
     field = basis.ambient.field
     return Matrix(basis, [[QElem.const(basis, field.from_int(v)) for v in r]
                           for r in rows])
-
-
-def test_flatten_map_indexing():
-    fm = FlattenMap(inner=2, outer=3)
-    assert fm.size == 6
-    assert fm.flat(0, 1) == 1
-    assert fm.flat(2, 0) == 4
-    assert fm.split(5) == (2, 1)
 
 
 def test_flatten_identity_and_single_block(pools):

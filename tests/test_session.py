@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from kcorr.errors import (InvalidObject, ParseError, ResolveError)
+from kcorr.errors import (InvalidObject, KcorrError, ParseError, ResolveError,
+                          UnknownVariable)
 from kcorr.exactalg import PrimeField, QQ
 from kcorr.laws import serialize_case
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
@@ -80,6 +82,11 @@ def test_dangling_references():
         parse_session("field Q\nvariety pt { vars = []; ideal = [] }\n"
                       "corr C : pt -> pt { n = 1; unit = [[1]] }\n"
                       "aut A { base = D; theta = []; theta_inv = [] }\n")
+    # an error with no column names its line
+    with pytest.raises(ResolveError) as err:
+        parse_session("format 1\nfield Q\nvariety V { vars = [x]; ideal = [] }\n"
+                      "map f : V -> W { x = x }\n")
+    assert str(err.value) == "line 4: map 'f' references undeclared variety"
 
 
 def test_duplicate_names_rejected():
@@ -199,6 +206,8 @@ def test_register_rejects_a_used_name():
      "unexpected character"),
     ("  map m : V -> V { x = x^^2 }", 26, "exponent"),
     ("variety W { vars = [w]; ideal = [w -* 1] }", 37, "unexpected token"),
+    # an arrow before the colon is a malformed header, not a crash
+    ("map m -> V : V { x = x }", 1, "expected NAME : SRC -> DST"),
 ])
 def test_errors_name_their_column_in_the_source_line(decl, column, message):
     text = f"field Q\nvariety V {{ vars = [x]; ideal = [] }}\n{decl}\n"
@@ -225,3 +234,19 @@ def test_multiline_block_errors_name_their_source_line(block, line, column, mess
         parse_session(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value).startswith(f"line {line}, col {column}: ")
+
+
+def test_error_position_format():
+    assert str(KcorrError("bad", 3)) == "line 3: bad"
+    assert str(ParseError("bad", 3, 7)) == "line 3, col 7: bad"
+    assert str(ParseError("bad", column=7)) == "bad"  # no line, no position
+    err = ResolveError("bad", 3)
+    assert (err.detail, err.line, err.column) == ("bad", 3, None)
+
+
+def test_unknown_variable_in_a_block_names_its_source_position():
+    text = (Path(__file__).resolve().parent / "data"
+            / "unknown_variable_in_block.kc").read_text(encoding="utf-8")
+    with pytest.raises(UnknownVariable) as err:
+        parse_session(text)
+    assert str(err.value) == "line 5, col 34: unknown variable 'z'; ambient has ('x',)"
