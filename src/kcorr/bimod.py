@@ -4,9 +4,11 @@ A correspondence over (X, Y) determines a module over k[X x Y]: the image of
 its idempotent with X acting by central scalars and Y through the generator
 matrices.  Morphism validity on the bimodule side is the same corner and
 intertwining condition, checked independently here so the two predicates can
-be compared.  Big bimodules key every pullback by the normal form of the
-composite base-change morphism, so chains of pullbacks agree on the nose
-with the pullback along the composite; the functor layer does the transport.
+be compared.  A big bimodule is its root presentation and the composite
+base-change morphism; equal composites give equal values, and every
+restriction is computed from the root along the composite, so chains of
+pullbacks agree on the nose with the pullback along the composite.  The
+functor layer does the transport.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .corrcat import CorrObject, _check_object_data, _trusted_object
 from .errors import AmbientMismatch, ShapeError
 from .exactalg import Matrix
 from .functors import pullback_obj, pushforward_obj
-from .varieties import AffVariety, VarMorphism, compose_maps, identity_map, product
+from .varieties import AffVariety, VarMorphism, compose_maps, identity_map
 
 
 @dataclass(frozen=True)
@@ -26,14 +28,13 @@ class BimodulePresentation:
 
     X: AffVariety
     Y: AffVariety
-    ambient: AffVariety  # the product X x Y
     n: int
     proj: Matrix
     x_actions: tuple  # one matrix per X-coordinate, the scalar action x*proj
     y_actions: tuple  # one matrix per Y-coordinate
 
     def __repr__(self):
-        return f"BimodulePresentation({self.ambient.name}, n={self.n})"
+        return f"BimodulePresentation({self.X.name} x {self.Y.name}, n={self.n})"
 
 
 def make_presentation(X: AffVariety, Y: AffVariety, n: int, proj: Matrix,
@@ -47,8 +48,8 @@ def make_presentation(X: AffVariety, Y: AffVariety, n: int, proj: Matrix,
 def to_bimodule(obj: CorrObject) -> BimodulePresentation:
     """Repackage a (valid) correspondence as its bimodule presentation."""
     x_actions = tuple(obj.p.scale_elem(obj.X.var(v)) for v in obj.X.vars)
-    return BimodulePresentation(obj.X, obj.Y, product(obj.X, obj.Y), obj.n,
-                                obj.p, x_actions, obj.gen_images)
+    return BimodulePresentation(obj.X, obj.Y, obj.n, obj.p, x_actions,
+                                obj.gen_images)
 
 
 def from_bimodule(pres: BimodulePresentation) -> CorrObject:
@@ -85,41 +86,22 @@ def bimodule_hom_valid(p: BimodulePresentation, q: BimodulePresentation,
 # -- strictly functorial pullback layer -----------------------------------
 
 
+@dataclass(frozen=True)
 class BigBimodule:
     """A presentation together with a strict system of base changes.
 
-    The object remembers the presentation at its root base and the composite
-    base-change morphism reaching the current base; every restriction is
-    computed from the root along that composite and cached under the
-    composite's normal-form key.  Pulling back along g then g1 therefore
-    yields data identical to pulling back along g o g1.
+    The value is the presentation at its root base and the composite
+    base-change morphism reaching the current base, so pulling back along g
+    then g1 gives the same value as pulling back along g o g1.  Restrictions
+    are computed from the root along the composite, never stored.
     """
 
-    __slots__ = ("root", "morphism", "_cache")
-
-    def __init__(self, root: BimodulePresentation, morphism: VarMorphism,
-                 cache: dict | None = None):
-        self.root = root
-        self.morphism = morphism
-        self._cache = {} if cache is None else cache
-
-    # identity & equality ---------------------------------------------------
-
-    def key(self):
-        return (self.root, self.morphism.key())
-
-    def __eq__(self, other):
-        return isinstance(other, BigBimodule) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+    root: BimodulePresentation
+    morphism: VarMorphism
 
     @property
     def base_variety(self) -> AffVariety:
         return self.morphism.source
-
-    def cache_snapshot(self) -> dict:
-        return dict(self._cache)
 
     def __repr__(self):
         return (f"BigBimodule({self.root!r} via "
@@ -127,21 +109,16 @@ class BigBimodule:
 
 
 def big_lift(obj: CorrObject) -> BigBimodule:
-    """Lift a correspondence to the strict layer; the cache starts empty."""
+    """Lift a correspondence to the strict layer, based at its own X."""
     return BigBimodule(to_bimodule(obj), identity_map(obj.X))
 
 
 def restrict_base(big: BigBimodule) -> BimodulePresentation:
-    """The presentation at the current base; cached per composite morphism."""
-    key = big.morphism.key()
-    cached = big._cache.get(key)
-    if cached is None:
-        if big.morphism == identity_map(big.root.X):
-            cached = big.root
-        else:
-            cached = to_bimodule(pullback_obj(big.morphism, from_bimodule(big.root)))
-        big._cache[key] = cached
-    return cached
+    """The presentation at the current base: the root pulled back along the
+    composite morphism."""
+    if big.morphism == identity_map(big.root.X):
+        return big.root
+    return to_bimodule(pullback_obj(big.morphism, from_bimodule(big.root)))
 
 
 def big_pullback(g: VarMorphism, big: BigBimodule) -> BigBimodule:
@@ -150,9 +127,7 @@ def big_pullback(g: VarMorphism, big: BigBimodule) -> BigBimodule:
         raise AmbientMismatch(
             f"pullback morphism lands in {g.target.name}, object based at "
             f"{big.base_variety.name}")
-    result = BigBimodule(big.root, compose_maps(big.morphism, g), big._cache)
-    restrict_base(result)
-    return result
+    return BigBimodule(big.root, compose_maps(big.morphism, g))
 
 
 def big_pushforward(h: VarMorphism, big: BigBimodule) -> BigBimodule:
@@ -161,7 +136,5 @@ def big_pushforward(h: VarMorphism, big: BigBimodule) -> BigBimodule:
         raise AmbientMismatch(
             f"pushforward morphism starts at {h.source.name}, object over "
             f"{big.root.Y.name}")
-    result = BigBimodule(to_bimodule(pushforward_obj(h, from_bimodule(big.root))),
-                         big.morphism)
-    restrict_base(result)
-    return result
+    return BigBimodule(to_bimodule(pushforward_obj(h, from_bimodule(big.root))),
+                       big.morphism)

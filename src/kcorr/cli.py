@@ -10,6 +10,7 @@ command line has no line to name.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from itertools import combinations
 
@@ -19,7 +20,7 @@ from .errors import KcorrError, ResolveError
 from .exactalg import parse_field
 from .laws import LAW_NAMES, law_suite
 from .session import (Session, format_decls, parse_session, print_session,
-                      _parse_matrix)
+                      _block_position, _parse_matrix)
 
 EXIT_OK = 0
 EXIT_LAW_FAILURE = 1
@@ -211,16 +212,26 @@ def execute_command(session: Session | None, word: str, args, out) -> int:
     return handler(session, args, out)
 
 
+def _source_column(source: str, column: int) -> int:
+    """The column in ``source`` of ``column`` in the command as normalised,
+    its blank-separated tokens joined by single blanks."""
+    tokens = list(re.finditer(r"\S+", source))
+    k, offset = _block_position([t.group() for t in tokens], 0, column)
+    return tokens[k].start() + offset
+
+
 def run_session(session: Session, out) -> int:
-    """Run a session's commands; an error names the line of its command."""
+    """Run a session's commands; an error names the line of its command and
+    the column in that line's source text."""
     code = EXIT_OK
-    for command, line in zip(session.commands, session.command_lines):
+    for command, (line, source) in zip(session.commands, session.command_lines):
         out(f"> {command}")
         word, *args = command.split()
         try:
             code = max(code, execute_command(session, word, args, out))
         except KcorrError as exc:
-            raise type(exc)(exc.detail, line, exc.column) from exc
+            column = None if exc.column is None else _source_column(source, exc.column)
+            raise type(exc)(exc.detail, line, column) from exc
     return code
 
 

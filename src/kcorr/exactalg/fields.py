@@ -2,7 +2,9 @@
 
 Scalars are plain Python values (``fractions.Fraction`` over Q, canonical
 residues ``0..p-1`` over F_p), so all arithmetic is exact by construction.
-Field objects are immutable tags bundling the operations.
+Field objects are immutable tags bundling the operations.  There is one
+instance per field (``PrimeField`` interns by ``p``, ``RationalField`` is a
+singleton), so fields compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -80,12 +82,6 @@ class RationalField(Field):
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("kcorr.Q")
-
     def from_int(self, n):
         return Fraction(n)
 
@@ -135,12 +131,6 @@ class PrimeField(Field):
             inst.one = 1 % p
             cls._instances[p] = inst
         return inst
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("kcorr.Fp", self.p))
 
     def from_int(self, n):
         return n % self.p

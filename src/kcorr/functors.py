@@ -20,8 +20,8 @@ from .corrcat import (CorrMorphism, CorrObject, corner_eval, graph_object,
                       _trusted_object)
 from .errors import InternalLawViolation, InvalidArity, InvalidCertificate, ShapeError
 from .pairing import compose_objects, compose_morphisms
-from .varieties import (AffVariety, VarMorphism, gm_power, identity_map, point,
-                        product, product_of, split_projections, torus_arity)
+from .varieties import (AffVariety, VarMorphism, gm_power, point, product,
+                        product_of, split_projections, torus_arity)
 
 
 def _graph_cross_check(what: str, result, via_graph):
@@ -150,7 +150,7 @@ def make_aut_morphism(src: AutObject, dst: AutObject,
 
 
 def _split_torus_target(y: AffVariety):
-    """Decompose the target as (Y_base, torus factor, rank, projection data).
+    """Decompose the target as (Y_base, torus factor, rank).
 
     Accepts a product whose last factor is a standard rank-n torus, or a bare
     torus (read as pt x torus).  Anything else is a ShapeError.
@@ -159,30 +159,30 @@ def _split_torus_target(y: AffVariety):
         n = torus_arity(y)
         if n is None:
             raise ShapeError(f"{y.name} has no trailing torus factor")
-        return point(y.field, y.order), y, n, False
+        return point(y.field, y.order), y, n
     factors = y.factors
     n = torus_arity(factors[-1])
     if n is None:
         raise ShapeError(f"the last factor of {y.name} is not a standard torus")
     rest = factors[:-1]
     base = rest[0] if len(rest) == 1 else product_of(rest)
-    return base, factors[-1], n, True
+    return base, factors[-1], n
 
 
 def to_automorphism_object(obj: CorrObject) -> AutObject:
     """Split the target's trailing torus coordinates into automorphisms.
 
-    The base object is the pushforward along the projection dropping the
-    torus coordinates; each torus coordinate pair supplies an automorphism
-    and its inverse witness.
+    The torus coordinates come last among the target's variables, so the
+    base object keeps the leading generator images and each torus pair
+    (t_i, s_i) supplies an automorphism and its inverse witness.  Slicing
+    equals pushing forward along the projections: that pushforward sends a
+    coordinate y_i to corner_eval(p, A, y_i) = p*A_i, which is A_i for a
+    valid object.
     """
-    y_base, torus, arity, is_product = _split_torus_target(obj.Y)
-    if is_product:
-        projection, to_torus = split_projections(obj.Y, y_base, torus)
-    else:
-        projection, to_torus = VarMorphism(obj.Y, y_base, ()), identity_map(obj.Y)
-    base = pushforward_obj(projection, obj)
-    mats = pushforward_obj(to_torus, obj).gen_images
+    y_base, _, arity = _split_torus_target(obj.Y)
+    k = len(y_base.vars)
+    base = _trusted_object(obj.X, y_base, obj.n, obj.p, obj.gen_images[:k])
+    mats = obj.gen_images[k:]
     thetas = tuple((_trusted_morphism(base, base, mats[2 * i]),
                     _trusted_morphism(base, base, mats[2 * i + 1]))
                    for i in range(arity))

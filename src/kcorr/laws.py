@@ -465,7 +465,7 @@ def law_torus_pullback_naturality(ctx: Ctx, rng: random.Random):
 def law_torus_pushforward_naturality(ctx: Ctx, rng: random.Random):
     arity = rng.choice((1, 2))
     torus_obj = _rand_torus_object(ctx, rng, arity)
-    y_base, torus, _, _ = functors._split_torus_target(torus_obj.Y)
+    y_base, torus, _ = functors._split_torus_target(torus_obj.Y)
     g = ctx.rand_map(rng, src=y_base)
 
     def law():

@@ -43,7 +43,8 @@ class Session:
     aut_specs: dict = dc_field(default_factory=dict)
     decls: list = dc_field(default_factory=list)  # (kind, name) in file order
     commands: list = dc_field(default_factory=list)
-    # the source line of each command, for error messages; not part of equality
+    # (line number, source text) of each command, for error messages; not
+    # part of equality
     command_lines: list = dc_field(default_factory=list, compare=False)
 
     def is_declared(self, name: str) -> bool:
@@ -349,7 +350,7 @@ def parse_session(text: str) -> Session:
         word = chunks[0].split(None, 1)[0]
         if word in COMMAND_WORDS:
             session.commands.append(" ".join(chunks[0].split()))
-            session.command_lines.append(line_no)
+            session.command_lines.append((line_no, chunks[0]))
             continue
         # a declaration block runs on until its braces balance
         depth = chunks[0].count("{") - chunks[0].count("}")

@@ -148,37 +148,31 @@ def _flatten(v: AffVariety):
     return v.factors if v.factors is not None else (v,)
 
 
-def _factor_prefixes(factors) -> list[str]:
+def factor_embeddings(factors):
+    """Per-factor maps ``factor var name -> product var name``: a variable is
+    prefixed with its factor's name, numbered when that name repeats."""
     names = [f.name for f in factors]
-    counts = {}
-    for n in names:
-        counts[n] = counts.get(n, 0) + 1
     seen = {}
-    prefixes = []
-    for n in names:
-        if counts[n] == 1:
-            prefixes.append(n)
-        else:
-            seen[n] = seen.get(n, 0) + 1
-            prefixes.append(f"{n}{SEPARATOR}{seen[n]}")
-    return prefixes
+    embeds = []
+    for f in factors:
+        prefix = f.name
+        if names.count(f.name) > 1:
+            seen[f.name] = seen.get(f.name, 0) + 1
+            prefix = f"{f.name}{SEPARATOR}{seen[f.name]}"
+        embeds.append({v: f"{prefix}{SEPARATOR}{v}" for v in f.vars})
+    return embeds
 
 
 def _assemble_product(factors) -> AffVariety:
-    prefixes = _factor_prefixes(factors)
-    variables = []
-    for f, pre in zip(factors, prefixes):
-        variables.extend(f"{pre}{SEPARATOR}{v}" for v in f.vars)
+    embeds = factor_embeddings(factors)
+    variables = tuple(name for emb in embeds for name in emb.values())
     field = factors[0].field
     order = factors[0].order
-    ambient = Ambient(tuple(variables), field, order)
-    gens = []
-    for f, pre in zip(factors, prefixes):
-        var_map = {v: f"{pre}{SEPARATOR}{v}" for v in f.vars}
-        gens.extend(g.rename(var_map, ambient) for g in f.ideal_gens)
+    ambient = Ambient(variables, field, order)
+    gens = tuple(g.rename(emb, ambient)
+                 for f, emb in zip(factors, embeds) for g in f.ideal_gens)
     name = "_x_".join(f.name for f in factors)
-    return AffVariety(name, tuple(variables), tuple(gens), field, order,
-                      factors=tuple(factors))
+    return AffVariety(name, variables, gens, field, order, factors=tuple(factors))
 
 
 def product(x: AffVariety, y: AffVariety) -> AffVariety:
@@ -198,16 +192,6 @@ def product_of(factors) -> AffVariety:
     for f in factors[1:]:
         acc = product(acc, f)
     return acc
-
-
-def factor_embeddings(prod: AffVariety):
-    """Per-factor maps ``factor var name -> prod var name``."""
-    factors = _flatten(prod)
-    prefixes = _factor_prefixes(factors)
-    return [
-        {v: f"{pre}{SEPARATOR}{v}" for v in f.vars}
-        for f, pre in zip(factors, prefixes)
-    ]
 
 
 # -- morphisms ----------------------------------------------------------
@@ -300,7 +284,7 @@ def compose_maps(outer: VarMorphism, inner: VarMorphism) -> VarMorphism:
 
 def _split_var_names(prod: AffVariety, n_left: int):
     """Variables of ``prod`` from its first ``n_left`` factors, and the rest."""
-    embeds = factor_embeddings(prod)
+    embeds = factor_embeddings(_flatten(prod))
     return ([name for emb in embeds[:n_left] for name in emb.values()],
             [name for emb in embeds[n_left:] for name in emb.values()])
 

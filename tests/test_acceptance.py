@@ -234,7 +234,7 @@ def test_criterion_08_strict_base_change():
             checked += 1
     assert checked == 100
     _report(8, "100 base-change chains: pullback and pushforward compose "
-               "on the nose, cache values data-identical")
+               "on the nose, restrictions data-identical")
 
 
 def test_criterion_09_k0_of_the_point():

@@ -42,7 +42,6 @@ def test_to_bimodule_repackages(pool):
     assert pres.proj == obj.p
     assert pres.y_actions == obj.gen_images
     assert pres.x_actions == ()  # the point has no coordinates
-    assert pres.ambient.name == "pt_x_TwoPts"
     z = to_bimodule(zero_object(pt, two))
     assert z.n == 0
 
@@ -128,9 +127,7 @@ def test_big_lift_and_identity_cache(pool):
     pt, line, two, gm = pool
     obj = random_object(line, two, seed=7, bounds=BOUNDS)
     lifted = big_lift(obj)
-    assert lifted.cache_snapshot() == {}  # nothing restricted yet
     assert restrict_base(lifted) == to_bimodule(obj)
-    assert lifted.cache_snapshot()  # identity restriction is cached
     pulled_id = big_pullback(identity_map(line), lifted)
     assert pulled_id == lifted
     assert restrict_base(pulled_id) == to_bimodule(obj)
@@ -188,6 +185,37 @@ def test_restricted_pushforward_is_entrywise_evaluation(pool):
     expected = make_presentation(line, line, obj.n, obj.p,
                                  tuple(eval_nonunital(obj, img) for img in h.images))
     assert restricted == expected
+
+
+def test_to_bimodule_runs_no_buchberger(pool, monkeypatch):
+    import kcorr.varieties
+    pt, line, two, gm = pool
+    obj = random_object(line, two, seed=12, bounds=BOUNDS)
+    calls = []
+    true_buchberger = kcorr.varieties.buchberger
+    monkeypatch.setattr(kcorr.varieties, "buchberger",
+                        lambda *args: calls.append(args) or true_buchberger(*args))
+    pres = to_bimodule(obj)
+    assert calls == []
+    assert from_bimodule(pres) == obj
+
+
+def test_chained_restriction_pulls_back_once(pool, monkeypatch):
+    import kcorr.bimod
+    pt, line, two, gm = pool
+    obj = random_object(line, two, seed=13, bounds=BOUNDS)
+    g = make_morphism(line, line, ["x^2 + 1"])
+    g1 = make_morphism(pt, line, ["2"])
+    lifted = big_lift(obj)
+    calls = []
+    true_pullback = kcorr.bimod.pullback_obj
+    monkeypatch.setattr(kcorr.bimod, "pullback_obj",
+                        lambda f, o: calls.append(f) or true_pullback(f, o))
+    two_step = big_pullback(g1, big_pullback(g, lifted))
+    assert calls == []  # base change alone restricts nothing
+    restricted = restrict_base(two_step)
+    assert calls == [compose_maps(g, g1)]
+    assert restricted == to_bimodule(true_pullback(compose_maps(g, g1), obj))
 
 
 def test_corrupted_restriction_is_an_internal_violation(pool, monkeypatch):

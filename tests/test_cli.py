@@ -165,7 +165,7 @@ def test_command_errors_name_their_session_line(tmp_path, capsys, session_file):
     assert main(["compare-bimodule", session_file, "G", "G", "[[x, 0]"]) == 2
     assert capsys.readouterr().err == "error: unbalanced brackets\n"
     s = session.parse_session(path.read_text(encoding="utf-8"))
-    assert s.command_lines == [17]
+    assert s.command_lines == [(17, "compare-bimodule G G [[x, 0]")]
     assert session.parse_session(session.print_session(s)) == s
     # every command's error names its line, not only a bad matrix literal
     path = tmp_path / "undeclared.kc"
@@ -176,6 +176,19 @@ def test_command_errors_name_their_session_line(tmp_path, capsys, session_file):
         "error: line 4: no corr named 'C' in the session\n")
     assert main(["compose", str(path), "C", "D"]) == 2
     assert capsys.readouterr().err == "error: no corr named 'C' in the session\n"
+
+
+def test_indented_command_error_names_its_source_column(capsys):
+    """The column of a command error counts along the source line, not along
+    the command with its blanks collapsed."""
+    path = Path(__file__).resolve().parent / "data" / "indented_compare_bimodule.kc"
+    assert path.read_text(encoding="utf-8").splitlines()[16] == \
+        "   compare-bimodule   G  G [[x, 0]"
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 17, col 28: unbalanced brackets\n"
+    s = session.parse_session(path.read_text(encoding="utf-8"))
+    assert s.commands == ["compare-bimodule G G [[x, 0]"]
+    assert session.print_session(s).endswith("\ncompare-bimodule G G [[x, 0]\n")
 
 
 def test_unknown_variable_in_a_block_names_its_line(capsys):

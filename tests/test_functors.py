@@ -12,13 +12,14 @@ from kcorr.functors import (aut_morphism_from_torus, box_mor, box_product,
                             make_aut_object, pullback_aut, pullback_mor,
                             pullback_obj, pushforward_aut, pushforward_mor,
                             pushforward_obj, to_automorphism_object,
-                            to_torus_object, torus_morphism_from_aut)
+                            to_torus_object, torus_morphism_from_aut,
+                            _split_torus_target)
 from kcorr.pairing import compose_morphisms, compose_objects
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
                              random_morphism_from, random_object, sample_map)
 from kcorr.varieties import (VarMorphism, compose_maps, gm_power, identity_map,
                              make_morphism, make_variety, point, product,
-                             product_morphism)
+                             product_morphism, split_projections)
 
 BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.0)
 
@@ -238,3 +239,38 @@ def test_corrupted_torus_object_is_an_internal_violation(pool, monkeypatch):
     with debug_validation():
         with pytest.raises(InternalLawViolation, match="derived CorrObject"):
             to_torus_object(corrupted)
+
+
+def _split_by_pushforward(obj):
+    """The torus split as first defined: push the object forward along the
+    projections of its target onto the base and onto the torus."""
+    y_base, torus, arity = _split_torus_target(obj.Y)
+    if obj.Y.factors is None:
+        projection, to_torus = VarMorphism(obj.Y, y_base, ()), identity_map(obj.Y)
+    else:
+        projection, to_torus = split_projections(obj.Y, y_base, torus)
+    base = pushforward_obj(projection, obj)
+    mats = pushforward_obj(to_torus, obj).gen_images
+    thetas = [(make_corr_morphism(base, base, mats[2 * i]),
+               make_corr_morphism(base, base, mats[2 * i + 1]))
+              for i in range(arity)]
+    return make_aut_object(base, thetas)
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["release", "debug"])
+@pytest.mark.parametrize("field", [PrimeField(5), QQ], ids=["F5", "Q"])
+def test_torus_split_equals_pushforward_definition(field, debug):
+    pt = point(field)
+    line = make_variety("A1", ["x"], [], field)
+    two = make_variety("TwoPts", ["y"], ["y^2 - y"], field)
+    rng = random.Random(derive_seed("split-oracle", field.name))
+    objs = [random_object(line, gm_power(1, field), rng=rng, bounds=BOUNDS)
+            for _ in range(4)]  # a bare Gm1 target
+    for arity in (1, 2):
+        for y in (pt, two, product(line, two)):  # none, one, two base factors
+            objs.append(to_torus_object(
+                random_aut_object(line, y, arity, rng=rng, bounds=BOUNDS)))
+    assert len(objs[-1].Y.factors) == 3
+    with debug_validation(debug):
+        for obj in objs:
+            assert to_automorphism_object(obj) == _split_by_pushforward(obj)
