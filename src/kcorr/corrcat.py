@@ -81,9 +81,6 @@ class CorrObject:
     p: Matrix
     gen_images: tuple
 
-    def gen(self, var_name: str) -> Matrix:
-        return self.gen_images[self.Y.ambient.index_of(var_name)]
-
     def __repr__(self):
         return f"CorrObject({self.X.name} -> {self.Y.name}, n={self.n})"
 

@@ -30,8 +30,6 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Common interface of coefficient fields; instances are value-like tags."""
 
-    kind = "abstract"
-
     def __repr__(self):
         return self.name
 
@@ -70,7 +68,6 @@ class Field:
 
 
 class RationalField(Field):
-    kind = "rational"
     name = "Q"
     zero = Fraction(0)
     one = Fraction(1)
@@ -115,8 +112,6 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    kind = "prime"
-
     _instances: dict[int, "PrimeField"] = {}
 
     def __new__(cls, p: int):

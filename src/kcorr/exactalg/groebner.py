@@ -92,10 +92,6 @@ class GroebnerBasis:
         self.gens = tuple(sorted(gens, key=lambda g: key(g.leading_monomial())))
         self._hash = None
 
-    @property
-    def order(self) -> str:
-        return self.ambient.order
-
     def is_unit_ideal(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.gens)
 

@@ -17,7 +17,7 @@ _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789.")
 
 
-def tokenize(text: str, line: int | None = None, col_offset: int = 0):
+def tokenize(text: str, col_offset: int = 0):
     """Yield (kind, value, column) tokens; kinds: int, ident, op."""
     tokens = []
     i = 0
@@ -44,18 +44,17 @@ def tokenize(text: str, line: int | None = None, col_offset: int = 0):
             tokens.append(("op", ch, col))
             i += 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+            raise ParseError(f"unexpected character {ch!r}", column=col)
     return tokens
 
 
 class _ExprParser:
     """Recursive-descent parser over a token list."""
 
-    def __init__(self, tokens, ambient: Ambient, line=None):
+    def __init__(self, tokens, ambient: Ambient):
         self.tokens = tokens
         self.pos = 0
         self.ambient = ambient
-        self.line = line
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -63,14 +62,14 @@ class _ExprParser:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of expression", self.line,
-                             self.tokens[-1][2] if self.tokens else 1)
+            raise ParseError("unexpected end of expression",
+                             column=self.tokens[-1][2] if self.tokens else 1)
         self.pos += 1
         return tok
 
     def error(self, message, tok=None):
         col = tok[2] if tok else (self.tokens[-1][2] if self.tokens else 1)
-        raise ParseError(message, self.line, col)
+        raise ParseError(message, column=col)
 
     def parse(self) -> Poly:
         poly = self.expr()
@@ -152,13 +151,12 @@ class _ExprParser:
             except UnknownVariable:
                 raise UnknownVariable(
                     f"unknown variable {value!r}; ambient has {self.ambient.vars}",
-                    self.line, tok[2]) from None
+                    column=tok[2]) from None
         self.error(f"unexpected token {value!r}", tok)
 
 
-def parse_poly(text: str, ambient: Ambient, line: int | None = None,
-               col_offset: int = 0) -> Poly:
-    tokens = tokenize(text, line, col_offset)
+def parse_poly(text: str, ambient: Ambient, col_offset: int = 0) -> Poly:
+    tokens = tokenize(text, col_offset)
     if not tokens:
-        raise ParseError("empty polynomial literal", line, 1 + col_offset)
-    return _ExprParser(tokens, ambient, line).parse()
+        raise ParseError("empty polynomial literal", column=1 + col_offset)
+    return _ExprParser(tokens, ambient).parse()

@@ -20,8 +20,8 @@ from .corrcat import (CorrMorphism, CorrObject, corner_eval, graph_object,
                       _trusted_object)
 from .errors import InternalLawViolation, InvalidArity, InvalidCertificate, ShapeError
 from .pairing import compose_objects, compose_morphisms
-from .varieties import (AffVariety, VarMorphism, gm_power, point, product,
-                        product_of, split_projections, torus_arity)
+from .varieties import (VarMorphism, gm_power, product, split_projections,
+                        split_torus)
 
 
 def _graph_cross_check(what: str, result, via_graph):
@@ -149,26 +149,6 @@ def make_aut_morphism(src: AutObject, dst: AutObject,
     return AutMorphism(src, dst, underlying)
 
 
-def _split_torus_target(y: AffVariety):
-    """Decompose the target as (Y_base, torus factor, rank).
-
-    Accepts a product whose last factor is a standard rank-n torus, or a bare
-    torus (read as pt x torus).  Anything else is a ShapeError.
-    """
-    if y.factors is None:
-        n = torus_arity(y)
-        if n is None:
-            raise ShapeError(f"{y.name} has no trailing torus factor")
-        return point(y.field, y.order), y, n
-    factors = y.factors
-    n = torus_arity(factors[-1])
-    if n is None:
-        raise ShapeError(f"the last factor of {y.name} is not a standard torus")
-    rest = factors[:-1]
-    base = rest[0] if len(rest) == 1 else product_of(rest)
-    return base, factors[-1], n
-
-
 def to_automorphism_object(obj: CorrObject) -> AutObject:
     """Split the target's trailing torus coordinates into automorphisms.
 
@@ -179,7 +159,7 @@ def to_automorphism_object(obj: CorrObject) -> AutObject:
     coordinate y_i to corner_eval(p, A, y_i) = p*A_i, which is A_i for a
     valid object.
     """
-    y_base, _, arity = _split_torus_target(obj.Y)
+    y_base, _, arity = split_torus(obj.Y)
     k = len(y_base.vars)
     base = _trusted_object(obj.X, y_base, obj.n, obj.p, obj.gen_images[:k])
     mats = obj.gen_images[k:]
@@ -189,7 +169,7 @@ def to_automorphism_object(obj: CorrObject) -> AutObject:
     return _trusted(make_aut_object, AutObject, base, thetas)
 
 
-def to_torus_object(aut: AutObject, arity: int | None = None) -> CorrObject:
+def to_torus_object(aut: AutObject) -> CorrObject:
     """Merge certified automorphisms back into torus coordinates.
 
     Rebuilds the canonical product target Y x Gm^n; for objects produced by
@@ -197,12 +177,10 @@ def to_torus_object(aut: AutObject, arity: int | None = None) -> CorrObject:
     round trip.
     """
     n = aut.arity
-    if arity is not None and arity != n:
-        raise ShapeError(f"object carries {n} automorphisms, not {arity}")
     if n == 0:
         raise InvalidArity("need at least one automorphism to build a torus target")
     base = aut.base
-    torus = gm_power(n, base.Y.field, base.Y.order)
+    torus = gm_power(n, base.Y.field)
     target = product(base.Y, torus)
     gens = list(base.gen_images)
     for fwd, bwd in aut.thetas:

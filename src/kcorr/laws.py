@@ -28,7 +28,7 @@ from .randomgen import (GenBounds, derive_seed, random_aut_object,
                         random_object, random_scalar, sample_map)
 from .session import Session, format_decls, format_field
 from .varieties import (compose_maps, gm_power, identity_map, make_variety,
-                        point, product_morphism)
+                        point, product_morphism, split_torus)
 
 LAW_BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.05)
 
@@ -146,9 +146,9 @@ class Ctx:
     """Per-(law, field) context: variety pool, seeded sampling helpers and
     the failed checks of the current case."""
 
-    def __init__(self, field: Field, bounds: GenBounds):
+    def __init__(self, field: Field):
         self.field = field
-        self.bounds = bounds
+        self.bounds = LAW_BOUNDS
         self.failed = []
         self.pt = point(field)
         self.line = make_variety("A1", ["x"], [], field)
@@ -465,7 +465,7 @@ def law_torus_pullback_naturality(ctx: Ctx, rng: random.Random):
 def law_torus_pushforward_naturality(ctx: Ctx, rng: random.Random):
     arity = rng.choice((1, 2))
     torus_obj = _rand_torus_object(ctx, rng, arity)
-    y_base, torus, _ = functors._split_torus_target(torus_obj.Y)
+    y_base, torus, _ = split_torus(torus_obj.Y)
     g = ctx.rand_map(rng, src=y_base)
 
     def law():
@@ -498,9 +498,9 @@ LAW_FAMILIES = (
 LAW_NAMES = tuple(name for name, _ in LAW_FAMILIES)
 
 
-def law_suite(seed: int, cases: int, fields=None,
-              bounds: GenBounds = LAW_BOUNDS, laws=None) -> LawReport:
-    """Run every law family on ``cases`` random instances per field."""
+def law_suite(seed: int, cases: int, fields=None, laws=None) -> LawReport:
+    """Run every law family on ``cases`` random instances per field, drawn
+    within ``LAW_BOUNDS``."""
     if cases < 1:
         raise KcorrError("cases must be >= 1")
     if fields is None:
@@ -511,7 +511,7 @@ def law_suite(seed: int, cases: int, fields=None,
     start = time.perf_counter()
     for law_name, law_fn in selected:
         for field in fields:
-            ctx = Ctx(field, bounds)
+            ctx = Ctx(field)
             failures = []
             for index in range(cases):
                 rng = random.Random(derive_seed(seed, law_name, field.name, index))

@@ -78,7 +78,7 @@ def _scalar_points(y: AffVariety):
     cached = _scalar_point_cache.get(y)
     if cached is not None:
         return cached
-    pt = point(y.field, y.order)
+    pt = point(y.field)
     combos = iter_product(y.field.elements_sample(), repeat=len(y.vars))
     points = [combo for combo in combos
               if broken_relation(pt, y, [QElem.const(pt.gb, c) for c in combo]) is None]

@@ -1,13 +1,17 @@
 """Presented affine varieties, products and coordinate-ring pullbacks.
 
 A variety here is nothing more than a presentation: named variables, ideal
-generators and a cached reduced basis.  Products rename variables by
-prefixing with the factor name (``.`` is the reserved separator), and the
-flattened factor list makes the product strictly associative at the data
-level - both association orders produce the identical presentation.
+generators and a cached reduced basis, always in the degrevlex order.
+Products rename variables by prefixing with the factor name (``.`` is the
+reserved separator), and the flattened factor list makes the product strictly
+associative at the data level - both association orders produce the identical
+presentation.  A product whose last factor is a standard torus splits back
+into its base and that torus (``split_torus``).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .errors import (AmbientMismatch, FieldMismatch, InvalidArity,
                      NotWellDefined, ShapeError, UnknownVariable)
@@ -18,19 +22,18 @@ SEPARATOR = "."
 
 
 class AffVariety:
-    """A presented affine variety with its reduced ideal basis cached."""
+    """A presented affine variety with its reduced degrevlex basis cached."""
 
-    __slots__ = ("name", "vars", "ideal_gens", "field", "order", "factors",
-                 "ambient", "gb", "_hash")
+    __slots__ = ("name", "vars", "ideal_gens", "field", "factors", "ambient",
+                 "gb", "_hash")
 
-    def __init__(self, name, variables, ideal_gens, field, order, factors=None):
+    def __init__(self, name, variables, ideal_gens, field, factors=None):
         self.name = name
         self.vars = tuple(variables)
         self.ideal_gens = tuple(ideal_gens)
         self.field = field
-        self.order = order
         self.factors = factors
-        self.ambient = Ambient(self.vars, field, order)
+        self.ambient = Ambient(self.vars, field, DEGREVLEX)
         self.gb = buchberger(self.ideal_gens, self.ambient)
         self._hash = None
 
@@ -63,8 +66,7 @@ class AffVariety:
     # equality is presentation equality ------------------------------------
 
     def _key(self):
-        return (self.name, self.vars, self.ideal_gens, self.field, self.order,
-                self.factors)
+        return (self.name, self.vars, self.ideal_gens, self.field, self.factors)
 
     def __eq__(self, other):
         if self is other:
@@ -80,8 +82,7 @@ class AffVariety:
         return f"AffVariety({self.name}: k[{', '.join(self.vars)}]/{len(self.ideal_gens)} gens)"
 
 
-def make_variety(name, variables, ideal_gens, field: Field,
-                 order: str = DEGREVLEX) -> AffVariety:
+def make_variety(name, variables, ideal_gens, field: Field) -> AffVariety:
     """Build a variety from variable names and generators (Poly or literal).
 
     User-facing names must not contain the reserved ``.`` separator; renamed
@@ -98,18 +99,18 @@ def make_variety(name, variables, ideal_gens, field: Field,
     variables = tuple(variables)
     for v in variables:
         _check_ident("variable", v)
-    ambient = Ambient(variables, field, order)
+    ambient = Ambient(variables, field, DEGREVLEX)
     gens = []
     for g in ideal_gens:
         gens.append(g if isinstance(g, Poly) else parse_poly(g, ambient))
         if gens[-1].ambient != ambient:
             raise UnknownVariable(f"generator {gens[-1]} not over {variables}")
-    return AffVariety(name, variables, tuple(gens), field, order)
+    return AffVariety(name, variables, tuple(gens), field)
 
 
-def point(field: Field, order: str = DEGREVLEX) -> AffVariety:
+def point(field: Field) -> AffVariety:
     """The one-point variety pt = Spec k."""
-    return make_variety("pt", [], [], field, order)
+    return make_variety("pt", [], [], field)
 
 
 def _torus_vars(n: int) -> tuple:
@@ -122,13 +123,13 @@ def _torus_relations(ambient: Ambient, n: int) -> tuple:
                  - Poly.one(ambient) for i in range(1, n + 1))
 
 
-def gm_power(n: int, field: Field, order: str = DEGREVLEX) -> AffVariety:
+def gm_power(n: int, field: Field) -> AffVariety:
     """The split torus of rank n: k[t1,s1,..,tn,sn]/(t_i*s_i - 1)."""
     if n <= 0:
         raise InvalidArity(f"torus rank must be positive, got {n}")
     variables = _torus_vars(n)
-    gens = _torus_relations(Ambient(variables, field, order), n)
-    return AffVariety(f"Gm{n}", variables, gens, field, order)
+    gens = _torus_relations(Ambient(variables, field, DEGREVLEX), n)
+    return AffVariety(f"Gm{n}", variables, gens, field)
 
 
 def torus_arity(v: AffVariety) -> int | None:
@@ -167,46 +168,49 @@ def _assemble_product(factors) -> AffVariety:
     embeds = factor_embeddings(factors)
     variables = tuple(name for emb in embeds for name in emb.values())
     field = factors[0].field
-    order = factors[0].order
-    ambient = Ambient(variables, field, order)
+    ambient = Ambient(variables, field, DEGREVLEX)
     gens = tuple(g.rename(emb, ambient)
                  for f, emb in zip(factors, embeds) for g in f.ideal_gens)
     name = "_x_".join(f.name for f in factors)
-    return AffVariety(name, variables, gens, field, order, factors=tuple(factors))
+    return AffVariety(name, variables, gens, field, factors=tuple(factors))
 
 
 def product(x: AffVariety, y: AffVariety) -> AffVariety:
     """Product variety on the flattened factor list; strictly associative."""
     if x.field != y.field:
         raise FieldMismatch(f"{x.field} vs {y.field}")
-    if x.order != y.order:
-        raise AmbientMismatch("factors use different monomial orders")
     return _assemble_product(_flatten(x) + _flatten(y))
 
 
-def product_of(factors) -> AffVariety:
-    factors = list(factors)
-    if not factors:
-        raise InvalidArity("empty product")
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = product(acc, f)
-    return acc
+def split_torus(y: AffVariety):
+    """Decompose ``y`` as (base, torus factor, rank).
+
+    Accepts a product whose last factor is a standard rank-n torus, or a bare
+    torus (read as pt x torus).  Anything else is a ShapeError.
+    """
+    if y.factors is None:
+        n = torus_arity(y)
+        if n is None:
+            raise ShapeError(f"{y.name} has no trailing torus factor")
+        return point(y.field), y, n
+    *rest, torus = y.factors
+    n = torus_arity(torus)
+    if n is None:
+        raise ShapeError(f"the last factor of {y.name} is not a standard torus")
+    base = rest[0] if len(rest) == 1 else _assemble_product(rest)
+    return base, torus, n
 
 
 # -- morphisms ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class VarMorphism:
     """A morphism of varieties, represented by its coordinate pullback."""
 
-    __slots__ = ("source", "target", "images", "_hash")
-
-    def __init__(self, source: AffVariety, target: AffVariety, images):
-        self.source = source
-        self.target = target
-        self.images = tuple(images)
-        self._hash = None
+    source: AffVariety
+    target: AffVariety
+    images: tuple  # one QElem over k[source] per target variable
 
     def image_map(self) -> dict:
         return {v: img.rep for v, img in zip(self.target.vars, self.images)}
@@ -224,17 +228,6 @@ class VarMorphism:
         ambient = self.source.ambient
         return mat.map_entries(
             lambda e: QElem(basis, e.rep.substitute(image_map, ambient)), basis)
-
-    def key(self):
-        return (self.source, self.target, self.images)
-
-    def __eq__(self, other):
-        return isinstance(other, VarMorphism) and self.key() == other.key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.key())
-        return self._hash
 
     def __repr__(self):
         imgs = ", ".join(f"{v}->{img}" for v, img in zip(self.target.vars, self.images))

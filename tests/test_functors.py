@@ -12,14 +12,13 @@ from kcorr.functors import (aut_morphism_from_torus, box_mor, box_product,
                             make_aut_object, pullback_aut, pullback_mor,
                             pullback_obj, pushforward_aut, pushforward_mor,
                             pushforward_obj, to_automorphism_object,
-                            to_torus_object, torus_morphism_from_aut,
-                            _split_torus_target)
+                            to_torus_object, torus_morphism_from_aut)
 from kcorr.pairing import compose_morphisms, compose_objects
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
                              random_morphism_from, random_object, sample_map)
 from kcorr.varieties import (VarMorphism, compose_maps, gm_power, identity_map,
                              make_morphism, make_variety, point, product,
-                             product_morphism, split_projections)
+                             product_morphism, split_projections, split_torus)
 
 BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.0)
 
@@ -244,7 +243,7 @@ def test_corrupted_torus_object_is_an_internal_violation(pool, monkeypatch):
 def _split_by_pushforward(obj):
     """The torus split as first defined: push the object forward along the
     projections of its target onto the base and onto the torus."""
-    y_base, torus, arity = _split_torus_target(obj.Y)
+    y_base, torus, arity = split_torus(obj.Y)
     if obj.Y.factors is None:
         projection, to_torus = VarMorphism(obj.Y, y_base, ()), identity_map(obj.Y)
     else:

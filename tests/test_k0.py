@@ -251,3 +251,23 @@ def test_compose_classes_and_transport():
         a, a)
     transported = transport_certificate(iso, b2, side="right")
     assert verify_iso(transported)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_transport_certificate_on_both_sides(side):
+    pt = point(QQ)
+    rng = random.Random(derive_seed("transport", side))
+    transported = 0
+    for _ in range(40):
+        a, b2, other = (random_object(pt, pt, rng=rng, bounds=PT_BOUNDS)
+                        for _ in range(3))
+        cert = pt_conjugation_certificate(a, b2)
+        if a == b2 or a.n == 0 or cert is None:
+            continue
+        moved = transport_certificate(cert, other, side=side)
+        assert verify_iso(moved)
+        pair = ((lambda obj: compose_objects(obj, other)) if side == "right"
+                else (lambda obj: compose_objects(other, obj)))
+        assert (moved.fwd.src, moved.fwd.dst) == (pair(a), pair(b2))
+        transported += 1
+    assert transported >= 5

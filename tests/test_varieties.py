@@ -7,7 +7,8 @@ from kcorr.errors import (FieldMismatch, InvalidArity, NotWellDefined,
 from kcorr.exactalg import PrimeField, QQ, buchberger
 from kcorr.varieties import (compose_maps, gm_power, identity_map,
                              make_morphism, make_variety, point, product,
-                             product_morphism, split_projections, torus_arity)
+                             product_morphism, split_projections, split_torus,
+                             torus_arity)
 
 
 @pytest.fixture
@@ -164,3 +165,23 @@ def test_split_projections_of_a_nested_product(qq_pool):
             split_projections(prod, left, right)
     with pytest.raises(ShapeError):
         split_projections(line, line, point(QQ))
+
+
+def test_split_torus_shapes_and_base_cost(qq_pool, monkeypatch):
+    import kcorr.varieties
+    pt, line, two = qq_pool
+    gm1, gm2 = gm_power(1, QQ), gm_power(2, QQ)
+    assert split_torus(gm1) == (pt, gm1, 1)
+    assert split_torus(product(two, gm2)) == (two, gm2, 2)
+    three = product(product(line, two), line)
+    y = product(three, gm1)
+    calls = []
+    true_buchberger = kcorr.varieties.buchberger
+    monkeypatch.setattr(kcorr.varieties, "buchberger",
+                        lambda *args: calls.append(args) or true_buchberger(*args))
+    assert split_torus(y) == (three, gm1, 1)
+    assert len(calls) == 1  # the three-factor base is assembled once
+    with pytest.raises(ShapeError):
+        split_torus(product(gm1, line))
+    with pytest.raises(ShapeError):
+        split_torus(line)
