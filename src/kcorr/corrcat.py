@@ -18,17 +18,39 @@ from .exactalg import Matrix, Poly, QElem
 from .varieties import AffVariety, identity_map
 
 
-def _power(action_mats, i: int, e: int, powers: dict) -> Matrix:
+# Tags of the three key spaces of a corner table.  A monomial is a tuple of
+# exponents just like a power key (i, e), so untagged they would collide.
+_POWER, _CORNER, _ZERO = "power", "corner", "zero"
+
+
+def _power(action_mats, i: int, e: int, table: dict) -> Matrix:
     """A_i^e from the table, each missing power built from the one below."""
     k = e
-    while k > 1 and (i, k) not in powers:
+    while k > 1 and (_POWER, i, k) not in table:
         k -= 1
-    mat = powers[i, k] if k > 1 else action_mats[i]
+    mat = table[_POWER, i, k] if k > 1 else action_mats[i]
     while k < e:
         k += 1
         mat = mat * action_mats[i]
-        powers[i, k] = mat
+        table[_POWER, i, k] = mat
     return mat
+
+
+def _corner_product(p: Matrix, action_mats, mono, table: dict):
+    """Nonzero entries ((row, col), terms) of p * prod(A_i^a_i), built once."""
+    key = (_CORNER, mono)
+    entries = table.get(key)
+    if entries is None:
+        if len(mono) != len(action_mats):
+            raise UnknownVariable("polynomial does not match the action matrices")
+        term = p
+        for i, e in enumerate(mono):
+            if e:
+                term = term * _power(action_mats, i, e, table)
+        entries = table[key] = [((i, j), entry.rep.terms)
+                                for i, row in enumerate(term.rows)
+                                for j, entry in enumerate(row) if entry.rep.terms]
+    return entries
 
 
 def corner_eval(p: Matrix, action_mats, poly: Poly, powers: dict | None = None) -> Matrix:
@@ -37,37 +59,41 @@ def corner_eval(p: Matrix, action_mats, poly: Poly, powers: dict | None = None) 
     ``action_mats`` are indexed like the polynomial's variables; a monomial
     c*y^a goes to c * p * prod(A_i^a_i) and the constant c0 to c0 * p.  The
     result is summed entrywise as a linear combination of normal forms, so
-    it needs no further reduction.  ``powers`` maps (i, e) to A_i^e; callers
-    evaluating many polynomials against the same matrices pass one table.
+    it needs no further reduction.
+
+    ``powers`` is a table for one pair (p, action_mats); callers evaluating
+    many polynomials against the same matrices pass one.  It holds the powers
+    A_i^e, the corner product p * A^a of each monomial a as its nonzero
+    entries, and the n x n zero matrix that every zero polynomial returns.
+    Power and monomial keys are tagged apart, so the monomial (0, 2) is never
+    read as the power A_0^2.
     """
+    if powers is None:
+        powers = {}
+    n = p.nrows
+    zero_block = powers.get(_ZERO)
+    if zero_block is None:
+        zero_block = powers[_ZERO] = Matrix.zeros(p.basis, n, n)
+    if not poly.terms:
+        return zero_block
     basis = p.basis
     ambient = basis.ambient
     field = ambient.field
     add, mul = field.add, field.mul
-    if powers is None:
-        powers = {}
-    n = p.nrows
-    acc = [[{} for _ in range(n)] for _ in range(n)]
+    acc: dict = {}
     for mono, coeff in poly.terms.items():
-        if len(mono) != len(action_mats):
-            raise UnknownVariable("polynomial does not match the action matrices")
-        term = p
-        for i, e in enumerate(mono):
-            if e:
-                term = term * _power(action_mats, i, e, powers)
-        for acc_row, row in zip(acc, term.rows):
-            for terms, entry in zip(acc_row, row):
-                for m, c in entry.rep.terms.items():
-                    prev = terms.get(m)
-                    terms[m] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
-    zero = QElem.zero(basis)
-    out = []
-    for acc_row in acc:
-        out_row = []
-        for terms in acc_row:
-            rep = Poly(ambient, terms)
-            out_row.append(QElem(basis, rep, reduced=True) if rep.terms else zero)
-        out.append(out_row)
+        for pos, entry_terms in _corner_product(p, action_mats, mono, powers):
+            terms = acc.get(pos)
+            if terms is None:
+                terms = acc[pos] = {}
+            for m, c in entry_terms.items():
+                prev = terms.get(m)
+                terms[m] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
+    out = [list(row) for row in zero_block.rows]
+    for (i, j), terms in acc.items():
+        rep = Poly(ambient, terms)
+        if rep.terms:
+            out[i][j] = QElem(basis, rep, reduced=True)
     return Matrix(basis, out, n, n)
 
 

@@ -243,14 +243,20 @@ def test_compose_classes_and_transport():
     if cls2.terms:
         rep2 = lt2.object_of(cls2.terms[0][0])
         assert rep2 == compose_objects(a, ident) == a
-    # well-definedness through transported certificates
-    c = random_object(pt, pt, rng=rng, bounds=PT_BOUNDS)
-    if a.n == c.n == 2:
-        pass
-    iso = pt_conjugation_certificate(
-        a, a)
+    # well-definedness through a transported certificate between a and a
+    # conjugate of it by an invertible scalar matrix
+    b = pt.gb
+    one, zero = QElem.one(b), QElem.zero(b)
+    s = Matrix(b, [[one if i == j else QElem.const(b, i + 1) if j == 0 else zero
+                    for j in range(a.n)] for i in range(a.n)])
+    a2 = make_correspondence(pt, pt, a.n, s * a.p * invert_scalar_matrix(s), [])
+    assert a2 != a
+    iso = pt_conjugation_certificate(a, a2)
+    assert verify_iso(iso)
     transported = transport_certificate(iso, b2, side="right")
     assert verify_iso(transported)
+    assert transported.fwd.src == compose_objects(a, b2)
+    assert transported.fwd.dst == compose_objects(a2, b2)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -133,6 +133,31 @@ def test_shared_power_table_matches_fresh_tables(name, data):
     assert _eval_blocks_flat(obj, outer) == flatten_blocks(oracle, basis=variety.gb)
 
 
+@pytest.mark.parametrize("name", ["Gm1-F5", "Gm1-Q"])
+def test_shared_table_keeps_monomials_apart_from_powers(name):
+    """The monomial s1^2 = (0, 2) must not be read as the power A_t1^2."""
+    variety = RINGS[name]
+    gb, ambient = variety.gb, variety.ambient
+    one, zero, t, s = (QElem.one(gb), QElem.zero(gb), variety.var("t1"),
+                       variety.var("s1"))
+    p = Matrix(gb, [[one, t], [zero, one.scale(variety.field.from_int(2))]])
+    mats = [Matrix(gb, [[t, one], [zero, s]]), Matrix(gb, [[s, zero], [one, t]])]
+
+    def mono(a, b):
+        return Poly(ambient, {(a, b): variety.field.one})
+
+    entries = [mono(2, 0), mono(0, 2), mono(1, 1), Poly.zero(ambient),
+               Poly.const(ambient, 3), mono(1, 0), mono(1, 0)]
+    oracle = [term_by_term_corner_eval(p, mats, f) for f in entries]
+    assert oracle[0] != oracle[1]
+    for order in (entries, entries[::-1]):
+        table = {}
+        shared = [corner_eval(p, mats, f, table) for f in order]
+        fresh = [corner_eval(p, mats, f) for f in order]
+        want = oracle if order is entries else oracle[::-1]
+        assert shared == fresh == want
+
+
 def test_product_over_different_rings_raises():
     gm5, t3, gmq = (RINGS[k].gb for k in ("Gm1-F5", "T3-F5", "Gm1-Q"))
     a = Matrix.identity(gm5, 2)

@@ -264,3 +264,52 @@ def test_broken_composites_are_internal_violations_in_debug_mode(pools, monkeypa
     with debug_validation():
         with pytest.raises(InternalLawViolation, match="derived CorrObject"):
             compose_objects(inner, outer)
+
+
+def _chain_link(gm, k):
+    """An n=3, rank-2 object over (Gm1, Gm1) and a morphism out of it.
+
+    Slot j of the diagonal model is the point t1 -> c_j*t1, s1 -> s1/c_j,
+    conjugated by an elementary matrix with a t1 entry; the morphism scales
+    the slots into a conjugate by an elementary matrix with an s1 entry.
+    ``k`` picks the scalars and positions, so the links of a chain differ.
+    """
+    basis, field = gm.gb, gm.field
+    zero, one = QElem.zero(basis), QElem.one(basis)
+    t, s = (gm.var(v) for v in gm.vars)
+    cs = [field.from_int(k + 1), field.from_int(k + 2)]
+
+    def elementary(i, j, lam):
+        rows, inv = ([[one if a == b else zero for b in range(3)] for a in range(3)]
+                     for _ in range(2))
+        rows[i][j], inv[i][j] = lam, -lam
+        return Matrix(basis, rows), Matrix(basis, inv)
+
+    u, u_inv = elementary(k % 3, (k + 2) % 3, t.scale(cs[1]))
+    v, v_inv = elementary((k + 1) % 3, k % 3, s)
+
+    def frame(entries):
+        return u * Matrix.diagonal(basis, entries + [zero]) * u_inv
+
+    p = frame([one, one])
+    gens = [frame([t.scale(c) for c in cs]),
+            frame([s.scale(field.inv(c)) for c in cs])]
+    obj = make_correspondence(gm, gm, 3, p, gens)
+    dst = make_correspondence(gm, gm, 3, v * p * v_inv, [v * a * v_inv for a in gens])
+    mor = make_corr_morphism(obj, dst, v * frame([one.scale(c) for c in reversed(cs)]))
+    return obj, mor
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_deep_chain_over_gm1(field):
+    """Three n=3 links compose to n=27: the shape of the benchmark chain."""
+    gm = gm_power(1, field)
+    (o1, m1), (o2, m2), (o3, m3) = (_chain_link(gm, k) for k in range(3))
+    left = compose_objects(compose_objects(o1, o2), o3)
+    assert left.n == 27
+    assert left == compose_objects(o1, compose_objects(o2, o3))
+    mor = compose_morphisms(m3, compose_morphisms(m2, m1))
+    assert mor.src == left
+    with debug_validation():
+        assert compose_objects(compose_objects(o1, o2), o3) == left
+        assert compose_morphisms(m3, compose_morphisms(m2, m1)) == mor
