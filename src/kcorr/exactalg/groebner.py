@@ -2,8 +2,9 @@
 
 The reduced basis of an ideal is unique for a fixed ambient, so normal forms
 give decidable equality in every quotient ring the rest of the package builds
-on.  Buchberger runs with the coprime-leading-term pair skip only; inputs
-throughout the system are desk scale (few variables, low degree).
+on.  Buchberger prunes its critical pairs with the criteria of Gebauer and
+Möller (1988), in the UPDATE form of Becker and Weispfenning, *Gröbner Bases*
+(1993), §5.5, and takes pairs by the normal strategy: smallest lcm first.
 """
 
 from __future__ import annotations
@@ -62,23 +63,18 @@ def _s_poly(f: Poly, g: Poly) -> Poly:
 
 
 def _interreduce(gens: list) -> list:
-    gens = [g.monic() for g in gens if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gens)):
-            others = gens[:i] + gens[i + 1:]
-            r = reduce_poly(gens[i], others)
-            if r.is_zero():
-                gens.pop(i)
-                changed = True
-                break
-            r = r.monic()
-            if r != gens[i]:
-                gens[i] = r
-                changed = True
-                break
-    return gens
+    """The reduced basis from a Gröbner basis ``gens`` of monic elements.
+
+    Elements whose leading monomial another's divides are dropped (of equal
+    leading monomials the first is kept); the survivors have pairwise
+    non-dividing leading monomials, so one tail reduction each suffices.
+    """
+    lms = [g.leading_monomial() for g in gens]
+    minimal = [g for i, g in enumerate(gens)
+               if not any(mono_divides(lm, lms[i]) and (lm != lms[i] or j < i)
+                          for j, lm in enumerate(lms) if j != i)]
+    return [reduce_poly(g, minimal[:i] + minimal[i + 1:]).monic()
+            for i, g in enumerate(minimal)]
 
 
 class GroebnerBasis:
@@ -91,9 +87,6 @@ class GroebnerBasis:
         key = ambient.key
         self.gens = tuple(sorted(gens, key=lambda g: key(g.leading_monomial())))
         self._hash = None
-
-    def is_unit_ideal(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.gens)
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ambient != self.ambient:
@@ -117,11 +110,47 @@ class GroebnerBasis:
         return f"GroebnerBasis([{', '.join(str(g) for g in self.gens)}])"
 
 
+def _update(polys: list, kept: list, pairs: list, h: Poly):
+    """Add ``h`` to the basis: the UPDATE of Gebauer and Möller.
+
+    ``polys`` holds every element ever added, ``kept`` indexes the current
+    basis and ``pairs`` holds ``(key(lcm), i, j, lcm)`` per pending pair.  New
+    pairs ``(g, h)`` lose to another new pair whose lcm divides theirs
+    (criteria M and F; a coprime pair still counts there) and then drop out
+    if coprime; an old pair ``(i, j)`` goes when ``LM(h)`` divides its lcm and
+    neither ``(i, h)`` nor ``(j, h)`` shares that lcm (criterion B); kept
+    elements whose leading monomial ``LM(h)`` divides retire.
+    """
+    k = len(polys)
+    polys.append(h)
+    lms = [g.leading_monomial() for g in polys]
+    lm_h = lms[k]
+    new = [(mono_lcm(lms[i], lm_h), i) for i in kept]
+    chosen = []
+    for t, (lcm, i) in enumerate(new):
+        if mono_coprime(lms[i], lm_h) or not any(
+                mono_divides(other, lcm) for other, _ in new[t + 1:] + chosen):
+            chosen.append((lcm, i))
+    pairs[:] = [p for p in pairs
+                if not mono_divides(lm_h, p[3])
+                or mono_lcm(lms[p[1]], lm_h) == p[3]
+                or mono_lcm(lms[p[2]], lm_h) == p[3]]
+    key = h.ambient.key
+    pairs.extend((key(lcm), i, k, lcm) for lcm, i in chosen
+                 if not mono_coprime(lms[i], lm_h))
+    kept[:] = [i for i in kept if not mono_divides(lm_h, lms[i])]
+    kept.append(k)
+
+
 def buchberger(gens, ambient: Ambient | None = None) -> GroebnerBasis:
     """Unique reduced basis of the ideal generated by ``gens``.
 
-    The empty list yields the zero ideal; any unit in the ideal collapses the
-    basis to ``[1]``.  All generators must share one ambient.
+    Every generator, and every nonzero reduced S-polynomial, enters through
+    the Gebauer–Möller update (:func:`_update`); pairs are taken smallest lcm
+    first in the ambient order (the normal strategy), ties by index, and
+    S-polynomials reduce against the kept elements only.  The empty list
+    yields the zero ideal; any unit in the ideal collapses the basis to
+    ``[1]``.  All generators must share one ambient.
     """
     gens = [g for g in gens if not g.is_zero()]
     if ambient is None:
@@ -132,20 +161,19 @@ def buchberger(gens, ambient: Ambient | None = None) -> GroebnerBasis:
         if g.ambient != ambient:
             raise AmbientMismatch(f"{g.ambient!r} vs {ambient!r}")
 
-    basis = [g.monic() for g in gens]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    polys: list = []
+    kept: list = []
+    pairs: list = []
+    for g in gens:
+        _update(polys, kept, pairs, g.monic())
     while pairs:
-        i, j = pairs.pop()
-        lm_i = basis[i].leading_monomial()
-        lm_j = basis[j].leading_monomial()
-        if mono_coprime(lm_i, lm_j):
-            continue
-        r = reduce_poly(_s_poly(basis[i], basis[j]), basis)
+        pair = min(pairs)
+        pairs.remove(pair)
+        _, i, j, _ = pair
+        r = reduce_poly(_s_poly(polys[i], polys[j]), [polys[t] for t in kept])
         if not r.is_zero():
-            basis.append(r.monic())
-            k = len(basis) - 1
-            pairs.extend((t, k) for t in range(k))
-    return GroebnerBasis(ambient, _interreduce(basis))
+            _update(polys, kept, pairs, r.monic())
+    return GroebnerBasis(ambient, _interreduce([polys[t] for t in kept]))
 
 
 def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:

@@ -8,7 +8,8 @@ import pytest
 from oracles import canonical, field_ops, naive_buchberger, poly_to_dict
 from kcorr.errors import AmbientMismatch
 from kcorr.exactalg import (Ambient, GroebnerBasis, Poly, PrimeField, QQ,
-                            buchberger, normal_form, parse_poly, quotient_eq)
+                            buchberger, groebner, normal_form, parse_poly,
+                            quotient_eq)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_groebner.json").read_text())
 
@@ -82,7 +83,7 @@ def test_quotient_eq_examples():
     assert quotient_eq(f, f, gb)
     unit = buchberger([Poly.one(amb)], amb)
     assert quotient_eq(Poly.one(amb), Poly.zero(amb), unit)
-    assert unit.is_unit_ideal()
+    assert unit.gens == (Poly.one(amb),)
 
 
 def test_degenerate_ideals():
@@ -131,3 +132,84 @@ def test_ambient_mismatch_errors():
         normal_form(parse_poly("x", other), gb)
     with pytest.raises(AmbientMismatch):
         buchberger([parse_poly("x", amb), parse_poly("x", other)])
+
+
+# -- the pair criteria drop only redundant work ----------------------------------
+
+RANDOM_IDEAL_CASES = [(f, o) for f in ("F5", "Q") for o in ("lex", "degrevlex")]
+
+
+def _small_ideal(rng, field):
+    """1-3 generators in 2-3 variables, each with 1-3 terms of exponent <= 2."""
+    amb_vars = ("x", "y", "z")[:rng.randint(2, 3)]
+    coeffs = [c for c in field.elements_sample() if c]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {tuple(rng.randint(0, 2) for _ in amb_vars): rng.choice(coeffs)
+                 for _ in range(rng.randint(1, 3))}
+        gens.append(terms)
+    return amb_vars, gens
+
+
+@pytest.mark.parametrize("field_label,order", RANDOM_IDEAL_CASES,
+                         ids=[f"{f}-{o}" for f, o in RANDOM_IDEAL_CASES])
+def test_random_ideals_match_oracle_and_ignore_generator_order(field_label, order):
+    field = QQ if field_label == "Q" else PrimeField(5)
+    rng = random.Random(f"gm-{field_label}-{order}")
+    for _ in range(38):
+        amb_vars, raw = _small_ideal(rng, field)
+        amb = Ambient(amb_vars, field, order)
+        gens = [Poly(amb, terms) for terms in raw]
+        gb = buchberger(gens, amb)
+        oracle = naive_buchberger([poly_to_dict(g) for g in gens], order,
+                                  field_ops(field_label))
+        assert canonical(oracle, order) == canonical(
+            [poly_to_dict(g) for g in gb.gens], order), raw
+        for perm in itertools.permutations(gens):
+            assert buchberger(list(perm), amb).gens == gb.gens, raw
+
+
+# cyclic-4 and katsura-4 in degrevlex, as varieties read them; katsura-4 over Q
+# finishes only when the pair criteria prune the redundant S-polynomials.
+CATALOGUE = {
+    "cyclic4": (("a", "b", "c", "d"),
+                ["a + b + c + d", "a*b + b*c + c*d + d*a",
+                 "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]),
+    "katsura4": (("u0", "u1", "u2", "u3"),
+                 ["u0 + 2*u1 + 2*u2 + 2*u3 - 1",
+                  "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0",
+                  "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+                  "u1^2 + 2*u0*u2 + 2*u1*u3 - u2"]),
+}
+CATALOGUE_CASES = [(n, f) for n in CATALOGUE for f in ("Q", "F32003")]
+
+
+@pytest.mark.parametrize("name,field_label", CATALOGUE_CASES,
+                         ids=[f"{n}-{f}" for n, f in CATALOGUE_CASES])
+def test_catalogue_basis_certificate_and_pair_count(name, field_label, monkeypatch):
+    field = QQ if field_label == "Q" else PrimeField(32003)
+    variables, texts = CATALOGUE[name]
+    amb = Ambient(variables, field, "degrevlex")
+    gens = [parse_poly(t, amb) for t in texts]
+    made = []
+    s_poly = groebner._s_poly
+
+    def counting_s_poly(f, g):
+        made.append((f, g))
+        return s_poly(f, g)
+
+    monkeypatch.setattr(groebner, "_s_poly", counting_s_poly)
+    gb = buchberger(gens, amb)
+    assert len(made) <= 16
+
+    for g in gens:
+        assert gb.normal_form(g).is_zero()
+    # Buchberger's criterion: every S-polynomial of the output reduces to 0
+    for f, g in itertools.combinations(gb.gens, 2):
+        assert gb.normal_form(s_poly(f, g)).is_zero()
+    # reduced and monic: no term of one element is divisible by another's
+    # leading monomial
+    for i, g in enumerate(gb.gens):
+        assert g.sorted_terms()[0][1] == field.one
+        others = gb.gens[:i] + gb.gens[i + 1:]
+        assert groebner.reduce_poly(g, others) == g
