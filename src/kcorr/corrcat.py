@@ -18,83 +18,65 @@ from .exactalg import Matrix, Poly, QElem
 from .varieties import AffVariety, identity_map
 
 
-# Tags of the three key spaces of a corner table.  A monomial is a tuple of
-# exponents just like a power key (i, e), so untagged they would collide.
-_POWER, _CORNER, _ZERO = "power", "corner", "zero"
+def corner_eval(p: Matrix, action_mats, polys) -> list[Matrix]:
+    """Evaluate polynomials in the corner algebra with unit ``p``, one result each.
 
-
-def _power(action_mats, i: int, e: int, table: dict) -> Matrix:
-    """A_i^e from the table, each missing power built from the one below."""
-    k = e
-    while k > 1 and (_POWER, i, k) not in table:
-        k -= 1
-    mat = table[_POWER, i, k] if k > 1 else action_mats[i]
-    while k < e:
-        k += 1
-        mat = mat * action_mats[i]
-        table[_POWER, i, k] = mat
-    return mat
-
-
-def _corner_product(p: Matrix, action_mats, mono, table: dict):
-    """Nonzero entries ((row, col), terms) of p * prod(A_i^a_i), built once."""
-    key = (_CORNER, mono)
-    entries = table.get(key)
-    if entries is None:
-        if len(mono) != len(action_mats):
-            raise UnknownVariable("polynomial does not match the action matrices")
-        term = p
-        for i, e in enumerate(mono):
-            if e:
-                term = term * _power(action_mats, i, e, table)
-        entries = table[key] = [((i, j), entry.rep.terms)
-                                for i, row in enumerate(term.rows)
-                                for j, entry in enumerate(row) if entry.rep.terms]
-    return entries
-
-
-def corner_eval(p: Matrix, action_mats, poly: Poly, powers: dict | None = None) -> Matrix:
-    """Evaluate a polynomial in the corner algebra with unit ``p``.
-
-    ``action_mats`` are indexed like the polynomial's variables; a monomial
-    c*y^a goes to c * p * prod(A_i^a_i) and the constant c0 to c0 * p.  The
+    ``action_mats`` are indexed like the polynomials' variables; a monomial
+    c*y^a goes to c * p * prod(A_i^a_i) and the constant c0 to c0 * p.  Each
     result is summed entrywise as a linear combination of normal forms, so
     it needs no further reduction.
 
-    ``powers`` is a table for one pair (p, action_mats); callers evaluating
-    many polynomials against the same matrices pass one.  It holds the powers
-    A_i^e, the corner product p * A^a of each monomial a as its nonzero
-    entries, and the n x n zero matrix that every zero polynomial returns.
-    Power and monomial keys are tagged apart, so the monomial (0, 2) is never
-    read as the power A_0^2.
+    The call builds what its polynomials share once: the powers A_i^e, each
+    from the one below; the corner product p * A^a of each monomial a, kept
+    as its nonzero entries; and one n x n zero matrix, which every zero
+    polynomial returns.
     """
-    if powers is None:
-        powers = {}
     n = p.nrows
-    zero_block = powers.get(_ZERO)
-    if zero_block is None:
-        zero_block = powers[_ZERO] = Matrix.zeros(p.basis, n, n)
-    if not poly.terms:
-        return zero_block
     basis = p.basis
     ambient = basis.ambient
-    field = ambient.field
-    add, mul = field.add, field.mul
-    acc: dict = {}
-    for mono, coeff in poly.terms.items():
-        for pos, entry_terms in _corner_product(p, action_mats, mono, powers):
-            terms = acc.get(pos)
-            if terms is None:
-                terms = acc[pos] = {}
-            for m, c in entry_terms.items():
-                prev = terms.get(m)
-                terms[m] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
-    out = [list(row) for row in zero_block.rows]
-    for (i, j), terms in acc.items():
-        rep = Poly(ambient, terms)
-        if rep.terms:
-            out[i][j] = QElem(basis, rep, reduced=True)
-    return Matrix(basis, out, n, n)
+    add, mul = ambient.field.add, ambient.field.mul
+    zero_block = Matrix.zeros(basis, n, n)
+    powers = [[a] for a in action_mats]
+    corners: dict = {}
+
+    def corner(mono):
+        entries = corners.get(mono)
+        if entries is None:
+            if len(mono) != len(action_mats):
+                raise UnknownVariable("polynomial does not match the action matrices")
+            term = p
+            for i, e in enumerate(mono):
+                if e:
+                    chain = powers[i]
+                    while len(chain) < e:
+                        chain.append(chain[-1] * action_mats[i])
+                    term = term * chain[e - 1]
+            entries = corners[mono] = [((i, j), entry.rep.terms)
+                                       for i, row in enumerate(term.rows)
+                                       for j, entry in enumerate(row) if entry.rep.terms]
+        return entries
+
+    results = []
+    for poly in polys:
+        if not poly.terms:
+            results.append(zero_block)
+            continue
+        acc: dict = {}
+        for mono, coeff in poly.terms.items():
+            for pos, entry_terms in corner(mono):
+                terms = acc.get(pos)
+                if terms is None:
+                    terms = acc[pos] = {}
+                for m, c in entry_terms.items():
+                    prev = terms.get(m)
+                    terms[m] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
+        out = [list(row) for row in zero_block.rows]
+        for (i, j), terms in acc.items():
+            rep = Poly(ambient, terms)
+            if rep.terms:
+                out[i][j] = QElem(basis, rep, reduced=True)
+        results.append(Matrix(basis, out, n, n))
+    return results
 
 
 @dataclass(frozen=True)
@@ -158,8 +140,7 @@ def _check_object_data(X, Y, n, p, gen_images):
             if gen_images[i] * gen_images[j] != gen_images[j] * gen_images[i]:
                 raise InvalidObject(
                     f"commutation law fails for generators {Y.vars[i]}, {Y.vars[j]}")
-    for rel in Y.ideal_gens:
-        value = corner_eval(p, gen_images, rel)
+    for rel, value in zip(Y.ideal_gens, corner_eval(p, gen_images, Y.ideal_gens)):
         if not value.is_zero():
             raise InvalidObject(f"target relation {rel} does not evaluate to 0")
 
@@ -207,7 +188,7 @@ def eval_nonunital(obj: CorrObject, f) -> Matrix:
     if f.ambient != obj.Y.ambient:
         raise UnknownVariable(
             f"polynomial over {f.ambient.vars} does not match {obj.Y.name}")
-    return corner_eval(obj.p, obj.gen_images, f)
+    return corner_eval(obj.p, obj.gen_images, [f])[0]
 
 
 def graph_object(f) -> CorrObject:

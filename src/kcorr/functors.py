@@ -54,9 +54,7 @@ def pushforward_obj(g: VarMorphism, obj: CorrObject) -> CorrObject:
     """Relabel the target along g: Y -> Y' by evaluating pulled coordinates."""
     if g.source != obj.Y:
         raise ShapeError(f"{g.source.name} is not the target of the object")
-    powers: dict = {}
-    gens = tuple(corner_eval(obj.p, obj.gen_images, img.rep, powers)
-                 for img in g.images)
+    gens = tuple(corner_eval(obj.p, obj.gen_images, [img.rep for img in g.images]))
     result = _trusted_object(obj.X, g.target, obj.n, obj.p, gens)
     return _graph_cross_check("pushforward fast path", result,
                               lambda: compose_objects(obj, graph_object(g)))
@@ -156,8 +154,8 @@ def to_automorphism_object(obj: CorrObject) -> AutObject:
     base object keeps the leading generator images and each torus pair
     (t_i, s_i) supplies an automorphism and its inverse witness.  Slicing
     equals pushing forward along the projections: that pushforward sends a
-    coordinate y_i to corner_eval(p, A, y_i) = p*A_i, which is A_i for a
-    valid object.
+    coordinate y_i to its corner evaluation p*A_i, which is A_i for a valid
+    object.
     """
     y_base, _, arity = split_torus(obj.Y)
     k = len(y_base.vars)

@@ -59,23 +59,22 @@ def flatten_blocks(blocks, basis=None) -> Matrix:
     return Matrix(basis, out, nrows * inner, ncols * inner)
 
 
-def _eval_blocks_flat(inner_obj: CorrObject, outer_mat: Matrix) -> Matrix:
-    """Apply the inner object's evaluation entrywise, then flatten.
+def _eval_blocks_flat(inner_obj: CorrObject, outer_mats) -> list[Matrix]:
+    """Apply the inner object's evaluation entrywise to each matrix, then flatten.
 
-    ``outer_mat`` has entries in k[middle variety]; the result is a matrix of
-    shape (nrows*n) x (ncols*n) over k[inner_obj.X].
+    The ``outer_mats`` have entries in k[middle variety]; an r x c one gives
+    an (r*n) x (c*n) matrix over k[inner_obj.X].  All their entries go
+    through one ``corner_eval`` call, so a monomial that recurs anywhere
+    among them is evaluated once.
     """
     n = inner_obj.n
     basis = inner_obj.X.gb
-    if outer_mat.nrows == 0 or outer_mat.ncols == 0 or n == 0:
-        return Matrix.zeros(basis, outer_mat.nrows * n, outer_mat.ncols * n)
-    powers: dict = {}
-    blocks = [
-        [corner_eval(inner_obj.p, inner_obj.gen_images, entry.rep, powers)
-         for entry in row]
-        for row in outer_mat.rows
-    ]
-    return flatten_blocks(blocks, basis=basis)
+    entries = [e.rep for m in outer_mats for row in m.rows for e in row] if n else []
+    values = iter(corner_eval(inner_obj.p, inner_obj.gen_images, entries))
+    return [flatten_blocks([[next(values) for _ in row] for row in m.rows], basis=basis)
+            if n and m.nrows and m.ncols
+            else Matrix.zeros(basis, m.nrows * n, m.ncols * n)
+            for m in outer_mats]
 
 
 def compose_objects(first: CorrObject, second: CorrObject) -> CorrObject:
@@ -87,9 +86,8 @@ def compose_objects(first: CorrObject, second: CorrObject) -> CorrObject:
     if first.Y != second.X:
         raise AmbientMismatch(
             f"middle variety mismatch: {first.Y.name} vs {second.X.name}")
-    p = _eval_blocks_flat(first, second.p)
-    gens = tuple(_eval_blocks_flat(first, a) for a in second.gen_images)
-    return _trusted_object(first.X, second.Y, second.n * first.n, p, gens)
+    p, *gens = _eval_blocks_flat(first, (second.p, *second.gen_images))
+    return _trusted_object(first.X, second.Y, second.n * first.n, p, tuple(gens))
 
 
 def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> CorrMorphism:
@@ -104,7 +102,7 @@ def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> Corr
         raise AmbientMismatch("morphisms are not composable through the middle variety")
     src = compose_objects(first_mor.src, second_mor.src)
     dst = compose_objects(first_mor.dst, second_mor.dst)
-    outer_through_inner = _eval_blocks_flat(first_mor.dst, second_mor.mat)
+    [outer_through_inner] = _eval_blocks_flat(first_mor.dst, [second_mor.mat])
     basis = first_mor.src.X.gb
     inner_copies = Matrix.block_diag(
         basis, tuple(first_mor.mat for _ in range(second_mor.src.n)))

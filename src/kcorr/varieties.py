@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (AmbientMismatch, FieldMismatch, InvalidArity,
-                     NotWellDefined, ShapeError, UnknownVariable)
+                     NotWellDefined, ParseError, ShapeError, UnknownVariable)
 from .exactalg import (DEGREVLEX, Ambient, Field, Matrix, Poly, QElem,
-                       buchberger, parse_poly)
+                       buchberger, parse_poly, tokenize)
 
 SEPARATOR = "."
 
@@ -86,19 +86,24 @@ def make_variety(name, variables, ideal_gens, field: Field) -> AffVariety:
     """Build a variety from variable names and generators (Poly or literal).
 
     User-facing names must not contain the reserved ``.`` separator; renamed
-    product variables use it.
+    product variables use it.  A variable must also be one identifier to the
+    polynomial tokenizer, or no literal could ever mention it.
     """
-    def _check_ident(label, value):
-        ok = (value and (value[0].isalpha() or value[0] == "_")
-              and all(c.isalnum() or c == "_" for c in value))
+    def _check_ident(label, value, ok):
         if not ok:
             raise InvalidArity(f"{label} {value!r} must be a plain identifier "
                                f"({SEPARATOR!r} is reserved for products)")
 
-    _check_ident("variety name", name)
+    _check_ident("variety name", name,
+                 name and (name[0].isalpha() or name[0] == "_")
+                 and all(c.isalnum() or c == "_" for c in name))
     variables = tuple(variables)
     for v in variables:
-        _check_ident("variable", v)
+        try:
+            one_ident = tokenize(v) == [("ident", v, 1)]
+        except ParseError:
+            one_ident = False
+        _check_ident("variable", v, one_ident and SEPARATOR not in v)
     ambient = Ambient(variables, field, DEGREVLEX)
     gens = []
     for g in ideal_gens:

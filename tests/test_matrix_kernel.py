@@ -1,16 +1,24 @@
 """The sparse matrix product and corner evaluation against dense oracles.
 
+Also counts the corner evaluations each composition and pushforward makes:
+one batch call each, carrying every entry the operation evaluates.
+
 Rings: Gm1 = k[t1, s1]/(t1*s1 - 1) and T3 = k[y]/(y^3 - y), over F5 and Q.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import dense_matrix_product, term_by_term_corner_eval
+from kcorr import functors, pairing
 from kcorr.corrcat import CorrObject, corner_eval
 from kcorr.errors import AmbientMismatch, ShapeError
 from kcorr.exactalg import GroebnerBasis, Matrix, Poly, PrimeField, QElem, QQ
-from kcorr.pairing import _eval_blocks_flat, flatten_blocks
+from kcorr.pairing import (_eval_blocks_flat, compose_morphisms, compose_objects,
+                           flatten_blocks)
+from kcorr.randomgen import GenBounds, random_morphism_from, random_object, sample_map
 from kcorr.varieties import gm_power, make_variety
 
 F5 = PrimeField(5)
@@ -111,7 +119,7 @@ def test_corner_eval_matches_term_by_term(name, data):
     n = data.draw(st.integers(0, 3))
     p, mats = draw_square_setup(data, variety, n)
     poly = data.draw(polys(variety))
-    assert corner_eval(p, mats, poly) == term_by_term_corner_eval(p, mats, poly)
+    assert corner_eval(p, mats, [poly]) == [term_by_term_corner_eval(p, mats, poly)]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -123,14 +131,19 @@ def test_shared_power_table_matches_fresh_tables(name, data):
     p, mats = draw_square_setup(data, variety, n)
     r, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     outer = data.draw(matrices(variety, r, c))
-    powers = {}
-    shared = [[corner_eval(p, mats, e.rep, powers) for e in row] for row in outer.rows]
-    fresh = [[corner_eval(p, mats, e.rep) for e in row] for row in outer.rows]
-    oracle = [[term_by_term_corner_eval(p, mats, e.rep) for e in row]
-              for row in outer.rows]
-    assert shared == fresh == oracle
+    entries = [e.rep for row in outer.rows for e in row]
+    batch = corner_eval(p, mats, entries)
+    single = [corner_eval(p, mats, [f])[0] for f in entries]
+    oracle = [term_by_term_corner_eval(p, mats, f) for f in entries]
+    assert batch == single == oracle
+    assert corner_eval(p, mats, entries[::-1]) == oracle[::-1]
     obj = CorrObject(variety, variety, n, p, tuple(mats))
-    assert _eval_blocks_flat(obj, outer) == flatten_blocks(oracle, basis=variety.gb)
+    blocks = [oracle[i * c:(i + 1) * c] for i in range(r)]
+    flat = flatten_blocks(blocks, basis=variety.gb)
+    assert _eval_blocks_flat(obj, [outer]) == [flat]
+    p_flat = flatten_blocks([[term_by_term_corner_eval(p, mats, e.rep) for e in row]
+                             for row in p.rows], basis=variety.gb)
+    assert _eval_blocks_flat(obj, [p, outer]) == [p_flat, flat]
 
 
 @pytest.mark.parametrize("name", ["Gm1-F5", "Gm1-Q"])
@@ -151,11 +164,54 @@ def test_shared_table_keeps_monomials_apart_from_powers(name):
     oracle = [term_by_term_corner_eval(p, mats, f) for f in entries]
     assert oracle[0] != oracle[1]
     for order in (entries, entries[::-1]):
-        table = {}
-        shared = [corner_eval(p, mats, f, table) for f in order]
-        fresh = [corner_eval(p, mats, f) for f in order]
+        batch = corner_eval(p, mats, order)
+        single = [corner_eval(p, mats, [f])[0] for f in order]
         want = oracle if order is entries else oracle[::-1]
-        assert shared == fresh == want
+        assert batch == single == want
+
+
+def _count_corner_evals(monkeypatch, module):
+    """Batch sizes of the corner_eval calls made through ``module``."""
+    batches = []
+    original = module.corner_eval
+
+    def counted(p, action_mats, polys):
+        batches.append(len(polys))
+        return original(p, action_mats, polys)
+
+    monkeypatch.setattr(module, "corner_eval", counted)
+    return batches
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_each_composition_and_pushforward_makes_one_corner_eval(name, monkeypatch):
+    variety = RINGS[name]
+    bounds = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.0)
+    first = random_object(variety, variety, seed=f"first-{name}", bounds=bounds)
+    second = random_object(variety, variety, seed=f"second-{name}", bounds=bounds)
+    rng = random.Random(name)
+    first_mor = random_morphism_from(first, rng, bounds)
+    second_mor = random_morphism_from(second, rng, bounds)
+    g = sample_map(variety, variety, rng, max_deg=1)
+
+    batches = _count_corner_evals(monkeypatch, pairing)
+    composite = compose_objects(first, second)
+    assert batches == [(1 + len(second.gen_images)) * second.n ** 2]
+    want_p = [[term_by_term_corner_eval(first.p, first.gen_images, e.rep) for e in row]
+              for row in second.p.rows]
+    assert composite.p == flatten_blocks(want_p, basis=variety.gb)
+
+    batches.clear()
+    compose_morphisms(second_mor, first_mor)
+    # one call for each of the two composed endpoints, one for the matrix
+    assert len(batches) == 3
+    assert batches[-1] == second.n ** 2
+
+    pushes = _count_corner_evals(monkeypatch, functors)
+    pushed = functors.pushforward_obj(g, first)
+    assert pushes == [len(g.images)]
+    assert list(pushed.gen_images) == [
+        term_by_term_corner_eval(first.p, first.gen_images, img.rep) for img in g.images]
 
 
 def test_product_over_different_rings_raises():

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from kcorr.errors import (InvalidObject, KcorrError, ParseError, ResolveError,
-                          UnknownVariable)
+from kcorr.cli import main
+from kcorr.errors import (InvalidArity, InvalidObject, KcorrError, ParseError,
+                          ResolveError, UnknownVariable)
 from kcorr.exactalg import PrimeField, QQ
 from kcorr.laws import serialize_case
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
@@ -234,6 +235,20 @@ def test_multiline_block_errors_name_their_source_line(block, line, column, mess
         parse_session(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value).startswith(f"line {line}, col {column}: ")
+
+
+def test_variable_the_tokenizer_cannot_read_is_rejected_where_declared(tmp_path, capsys):
+    """x² is alphanumeric but no polynomial literal could ever mention it."""
+    text = ("field Q\nvariety V { vars = [x\u00b2]; ideal = [] }\n"
+            "corr C : V -> V { n = 1; unit = [[1]]; gen x\u00b2 = [[x\u00b2]] }\n")
+    with pytest.raises(InvalidArity) as err:
+        parse_session(text)
+    assert err.value.line == 2
+    path = tmp_path / "superscript.kc"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: variable 'x\u00b2' ")
 
 
 def test_error_position_format():
