@@ -2,8 +2,8 @@
 
 from .fields import QQ, Field, PrimeField, RationalField, parse_field
 from .groebner import GroebnerBasis, buchberger, normal_form, quotient_eq
-from .matrix import (Matrix, invert_scalar_matrix, pivot_columns,
-                     rank_over_fraction_field, scalar_value)
+from .matrix import (Matrix, rank_factorization, rank_over_fraction_field,
+                     scalar_value)
 from .parser import parse_poly, tokenize
 from .poly import DEGREVLEX, LEX, Ambient, Poly
 from .quotient import QElem
@@ -11,8 +11,7 @@ from .quotient import QElem
 __all__ = [
     "QQ", "Field", "PrimeField", "RationalField", "parse_field",
     "GroebnerBasis", "buchberger", "normal_form", "quotient_eq",
-    "Matrix", "invert_scalar_matrix", "pivot_columns", "rank_over_fraction_field",
-    "scalar_value",
+    "Matrix", "rank_factorization", "rank_over_fraction_field", "scalar_value",
     "parse_poly", "tokenize",
     "DEGREVLEX", "LEX", "Ambient", "Poly", "QElem",
 ]

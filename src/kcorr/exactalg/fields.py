@@ -14,16 +14,32 @@ from fractions import Fraction
 from ..errors import InvalidField
 
 
+# Miller-Rabin with these bases is exact below 3.18 * 10^23 (Sorenson and
+# Webster 2015), far past the 2^64 bound on a prime field's modulus
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_MODULUS = 2 ** 64
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < 3.18 * 10^23."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -117,6 +133,8 @@ class PrimeField(Field):
     def __new__(cls, p: int):
         inst = cls._instances.get(p)
         if inst is None:
+            if p >= _MAX_MODULUS:
+                raise InvalidField(f"{p} is too large; a prime field needs p < 2^64")
             if not _is_prime(p):
                 raise InvalidField(f"{p} is not prime")
             inst = super().__new__(cls)

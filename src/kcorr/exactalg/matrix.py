@@ -2,9 +2,9 @@
 needs: block assembly and two eliminations.
 
 Scalar matrices (entries in the base field) go through one reduced row
-echelon helper, :func:`scalar_rref`; inverses and the column-space frames of
-k0 are built on it.  Rank over the fraction field of an integral coordinate
-ring uses division-free elimination, which needs no fractions."""
+echelon helper, :func:`scalar_rref`; the rank factorizations behind k0's
+certificates are built on it.  Rank over the fraction field of an integral
+coordinate ring uses division-free elimination, which needs no fractions."""
 
 from __future__ import annotations
 
@@ -256,28 +256,18 @@ def scalar_rref(field, rows) -> list:
     return pivots
 
 
-def pivot_columns(mat: Matrix) -> list:
-    """Indices of the greedy maximal independent set of columns of a scalar
-    matrix; their number is its rank."""
-    rows = [[scalar_value(e) for e in row] for row in mat.rows]
-    return scalar_rref(mat.basis.ambient.field, rows)
+def rank_factorization(mat: Matrix) -> tuple[Matrix, Matrix]:
+    """``(C, R)`` with ``mat = C * R`` for a scalar matrix of rank r.
 
-
-def invert_scalar_matrix(mat: Matrix) -> Matrix | None:
-    """Inverse of a square matrix with scalar entries; None when singular.
-
-    Row-reduces ``[mat | I]``: ``mat`` is invertible exactly when its own
-    columns are all pivots, and the right half is then the inverse.
+    ``C`` is the r pivot columns of ``mat`` and ``R`` the nonzero rows of
+    its reduced row echelon form.  For an idempotent ``R * C`` is the r x r
+    identity, since ``C`` has independent columns and ``R`` independent rows.
     """
-    if mat.nrows != mat.ncols:
-        raise ShapeError("only square matrices can be inverted")
-    n = mat.nrows
-    field = mat.basis.ambient.field
-    rows = [[scalar_value(e) for e in row]
-            + [field.one if i == j else field.zero for j in range(n)]
-            for i, row in enumerate(mat.rows)]
-    if scalar_rref(field, rows)[:n] != list(range(n)):
-        return None
     basis = mat.basis
-    return Matrix(basis, [[QElem.const(basis, v) for v in row[n:]] for row in rows],
-                  n, n)
+    rows = [[scalar_value(e) for e in row] for row in mat.rows]
+    pivots = scalar_rref(basis.ambient.field, rows)
+    r = len(pivots)
+    left = Matrix(basis, [[row[j] for j in pivots] for row in mat.rows], mat.nrows, r)
+    right = Matrix(basis, [[QElem.const(basis, v) for v in row] for row in rows[:r]],
+                   r, mat.ncols)
+    return left, right

@@ -15,6 +15,9 @@ from .poly import Ambient, Poly
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789.")
+# most parentheses and unary minus signs open at once: deeper input is an
+# input error before the recursive descent can exhaust the interpreter's stack
+_MAX_NESTING = 100
 
 
 def tokenize(text: str, col_offset: int = 0):
@@ -55,6 +58,7 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.ambient = ambient
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -122,13 +126,18 @@ class _ExprParser:
     def atom(self) -> Poly:
         tok = self.next()
         kind, value, _ = tok
-        if kind == "op" and value == "-":
-            return -self.atom()
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            closing = self.next()
-            if closing[:2] != ("op", ")"):
-                self.error("expected ')'", closing)
+        if kind == "op" and value in "-(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                self.error("expression nested too deeply", tok)
+            if value == "-":
+                inner = -self.atom()
+            else:
+                inner = self.expr()
+                closing = self.next()
+                if closing[:2] != ("op", ")"):
+                    self.error("expected ')'", closing)
+            self.depth -= 1
             return inner
         if kind == "int":
             num = int(value)

@@ -17,8 +17,7 @@ from .corrcat import (CorrObject, IsoCertificate, direct_sum, identity_morphism,
                       make_corr_morphism, verify_iso)
 from .errors import (AmbientMismatch, InvalidCertificate, NotIntegral,
                      UnknownObject)
-from .exactalg import (Matrix, QElem, invert_scalar_matrix, pivot_columns,
-                       rank_over_fraction_field)
+from .exactalg import rank_factorization, rank_over_fraction_field
 from .pairing import compose_objects, compose_morphisms
 
 
@@ -39,48 +38,23 @@ def rank(obj: CorrObject, assume_integral: bool = False) -> int:
 def pt_conjugation_certificate(a: CorrObject, b: CorrObject) -> IsoCertificate | None:
     """Search for an isomorphism between objects over a point base.
 
-    Works by matching column spaces: both idempotents are put in the
-    standard frame (image basis first, kernel basis after), and equal ranks
-    give mutually inverse maps between the images even when the sizes n
-    differ.  Returns None when the ranks differ.  Over (pt, pt) the entries
-    are scalars, so the frames exist at every n and the search is exact.
+    Factors each idempotent as ``p = C * R`` with ``R * C = 1`` (C its
+    pivot columns, R the nonzero rows of its reduced echelon form).  Equal
+    ranks give the mutually inverse maps ``C_b * R_a`` and ``C_a * R_b``
+    between the images, even when the sizes n differ; different ranks give
+    None.  Over (pt, pt) the entries are scalars, so the search is exact.
     """
     if not (a.X.is_point() and a.Y.is_point()):
         raise AmbientMismatch("conjugation search is only available over (pt, pt)")
     if a.X != b.X or a.Y != b.Y:
         raise AmbientMismatch("objects over different (X, Y)")
 
-    basis = a.X.gb
-    r = len(pivot_columns(a.p))
-    if r != len(pivot_columns(b.p)):
+    cols_a, rows_a = rank_factorization(a.p)
+    cols_b, rows_b = rank_factorization(b.p)
+    if cols_a.ncols != cols_b.ncols:
         return None
-
-    def frame(p: Matrix) -> Matrix | None:
-        n = p.nrows
-        q = Matrix.identity(basis, n) - p
-        image, kernel = pivot_columns(p), pivot_columns(q)
-        if len(image) + len(kernel) != n:
-            return None
-        return Matrix(basis, [[p.rows[i][j] for j in image]
-                              + [q.rows[i][j] for j in kernel] for i in range(n)],
-                      n, n)
-
-    frame_a = frame(a.p)
-    frame_b = frame(b.p)
-    if frame_a is None or frame_b is None:
-        return None
-    frame_a_inv = invert_scalar_matrix(frame_a)
-    frame_b_inv = invert_scalar_matrix(frame_b)
-    if frame_a_inv is None or frame_b_inv is None:
-        return None
-    one = QElem.one(basis)
-    zero = QElem.zero(basis)
-    bridge = Matrix(basis, [[one if i == j and i < r else zero
-                             for j in range(a.n)] for i in range(b.n)],
-                    b.n, a.n)
-    fwd = make_corr_morphism(a, b, frame_b * bridge * frame_a_inv)
-    bwd = make_corr_morphism(b, a, frame_a * bridge.transpose() * frame_b_inv)
-    cert = IsoCertificate(fwd, bwd)
+    cert = IsoCertificate(make_corr_morphism(a, b, cols_b * rows_a),
+                          make_corr_morphism(b, a, cols_a * rows_b))
     return cert if verify_iso(cert) else None
 
 

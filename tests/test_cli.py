@@ -93,6 +93,25 @@ def test_k0_report_beyond_three(tmp_path, capsys):
     assert "brackets coincide" in out
 
 
+def test_k0_report_without_certificate_search(capsys):
+    """Over a non-point base no certificate is searched: A1 brackets by rank,
+    and TwoPts, whose ideal is not asserted prime, gets no rank map."""
+    path = Path(__file__).resolve().parent / "data" / "k0_unresolved.kc"
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "> k0\n"
+        "k0 report over (A1, pt): 2 objects\n"
+        "rank map: P=1, Q=1\n"
+        "class {P}\n"
+        "class {Q}\n"
+        "unresolved (no certificate, no separating invariant): [P] vs [Q]\n"
+        "k0 report over (TwoPts, pt): 2 objects\n"
+        "rank map: skipped (base variety has relations; integrality not asserted)\n"
+        "class {R}\n"
+        "class {S}\n"
+        "unresolved (no certificate, no separating invariant): [R] vs [S]\n")
+
+
 def test_compare_bimodule(session_file, capsys):
     assert main(["compare-bimodule", session_file, "G", "G", "[[x]]"]) == 0
     out = capsys.readouterr().out
@@ -196,6 +215,13 @@ def test_unknown_variable_in_a_block_names_its_line(capsys):
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == (
         "error: line 5, col 34: unknown variable 'z'; ambient has ('x',)\n")
+
+
+def test_deeply_nested_literal_is_an_input_error(capsys):
+    path = Path(__file__).resolve().parent / "data" / "deep_parentheses.kc"
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3, col 134: expression nested too deeply\n")
 
 
 def test_printed_results_reparse(session_file, capsys):

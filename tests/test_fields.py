@@ -1,9 +1,13 @@
 import random
+import time
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, strategies as st
 
+from kcorr.cli import main
 from kcorr.exactalg import QQ, PrimeField, parse_field
+from kcorr.exactalg.fields import _is_prime
 from kcorr.errors import InvalidField
 
 FIELDS = [QQ, PrimeField(5), PrimeField(2), PrimeField(7)]
@@ -42,6 +46,38 @@ def test_non_prime_modulus_rejected():
         PrimeField(6)
     with pytest.raises(InvalidField):
         PrimeField(1)
+
+
+def _primes_by_trial_division(limit):
+    primes = []
+    for n in range(2, limit):
+        if all(n % q for q in takewhile(lambda q: q * q <= n, primes)):
+            primes.append(n)
+    return primes
+
+
+def test_primality_agrees_with_trial_division():
+    primes = set(_primes_by_trial_division(200_000))
+    assert [n for n in range(200_000) if _is_prime(n)] == sorted(primes)
+
+
+def test_large_moduli():
+    start = time.perf_counter()
+    for p in (2 ** 61 - 1, 10 ** 18 + 3, 2 ** 64 - 59):
+        assert PrimeField(p).p == p
+    assert time.perf_counter() - start < 0.5
+    # a strong pseudoprime to the bases 2, 3, 5 and 7, and a square of a prime
+    for n in (3215031751, (2 ** 31 - 1) ** 2):
+        assert not _is_prime(n)
+        with pytest.raises(InvalidField, match="not prime"):
+            PrimeField(n)
+    with pytest.raises(InvalidField, match="p < 2\\^64"):
+        PrimeField(2 ** 64 + 13)
+
+
+def test_modulus_bound_is_an_input_error(capsys):
+    assert main(["laws", "--field", "Fp:18446744073709551629"]) == 2
+    assert "p < 2^64" in capsys.readouterr().err
 
 
 def test_prime_field_instances_cached():

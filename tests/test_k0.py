@@ -7,7 +7,7 @@ from oracles import field_gauss_rank, field_ops, fraction_pair_rank
 from kcorr.corrcat import (IsoCertificate, direct_sum, identity_morphism,
                            make_correspondence, verify_iso, zero_object)
 from kcorr.errors import InvalidCertificate, NotIntegral, ShapeError, UnknownObject
-from kcorr.exactalg import (Matrix, PrimeField, QElem, QQ, invert_scalar_matrix,
+from kcorr.exactalg import (Matrix, PrimeField, QElem, QQ, rank_factorization,
                             rank_over_fraction_field, scalar_value)
 from kcorr.k0 import (K0Ledger, k0_class, k0_compose, k0_register,
                       k0_register_sum, pt_conjugation_certificate, rank,
@@ -68,7 +68,7 @@ def test_rank_matches_gauss_oracle_over_point():
 
 
 def test_conjugation_certificate_search():
-    # the second bound reaches past n = 3: the frames exist at every size
+    # the second bound reaches past n = 3: rank factorizations exist at every size
     for bounds in (PT_BOUNDS, GenBounds(max_n=5, max_deg=1, max_elementary=3,
                                         zero_weight=0.05)):
         for field in (QQ, PrimeField(5)):
@@ -105,25 +105,34 @@ def test_rank_matches_fraction_pair_oracle(base):
             assert rank_over_fraction_field(m) == fraction_pair_rank(m) <= r
 
 
-def test_invert_scalar_matrix():
+def test_rank_factorization():
     for field_label, field in (("Q", QQ), ("F5", PrimeField(5))):
-        b = point(field).gb
+        pt = point(field)
+        b = pt.gb
         ops = field_ops(field_label)
-        rng = random.Random(derive_seed("invert", field_label))
+        rng = random.Random(derive_seed("rank-factorization", field_label))
         for _ in range(40):
-            n = rng.randint(0, 4)
-            values = [[random_scalar(field, rng) for _ in range(n)] for _ in range(n)]
-            m = Matrix(b, [[QElem.const(b, v) for v in row] for row in values], n, n)
-            inv = invert_scalar_matrix(m)
-            if field_gauss_rank(values, ops) == n:
-                assert inv * m == Matrix.identity(b, n) == m * inv
-            else:
-                assert inv is None
-        two = QElem.const(b, 2)
-        one = QElem.one(b)
-        assert invert_scalar_matrix(Matrix(b, [[one, two], [two, two * two]])) is None
-        with pytest.raises(ShapeError):
-            invert_scalar_matrix(Matrix.zeros(b, 1, 2))
+            # any shape, including n = 0 and all-zero matrices (r = 0)
+            nrows, ncols = rng.randint(0, 4), rng.randint(0, 4)
+            values = [[random_scalar(field, rng) if rng.random() < 0.7 else field.zero
+                       for _ in range(ncols)] for _ in range(nrows)]
+            m = Matrix(b, [[QElem.const(b, v) for v in row] for row in values],
+                       nrows, ncols)
+            left, right = rank_factorization(m)
+            r = field_gauss_rank(values, ops)
+            assert (left.nrows, left.ncols, right.nrows, right.ncols) == (nrows, r, r, ncols)
+            assert left * right == m
+        left, right = rank_factorization(Matrix.zeros(b, 3, 2))
+        assert (left.ncols, right.nrows) == (0, 0)
+        assert left * right == Matrix.zeros(b, 3, 2)
+        for _ in range(40):
+            obj = random_object(pt, pt, rng=rng, bounds=PT_BOUNDS)
+            left, right = rank_factorization(obj.p)
+            assert left * right == obj.p
+            assert right * left == Matrix.identity(b, rank(obj))
+    line = make_variety("A1", ["x"], [], QQ)
+    with pytest.raises(ShapeError):
+        rank_factorization(Matrix(line.gb, [[line.var("x")]]))
 
 
 def test_ledger_registration_and_certificates():
@@ -249,7 +258,11 @@ def test_compose_classes_and_transport():
     one, zero = QElem.one(b), QElem.zero(b)
     s = Matrix(b, [[one if i == j else QElem.const(b, i + 1) if j == 0 else zero
                     for j in range(a.n)] for i in range(a.n)])
-    a2 = make_correspondence(pt, pt, a.n, s * a.p * invert_scalar_matrix(s), [])
+    # s is unipotent: its inverse negates the entries below the diagonal
+    s_inv = Matrix(b, [[one if i == j else -QElem.const(b, i + 1) if j == 0 else zero
+                        for j in range(a.n)] for i in range(a.n)])
+    assert s * s_inv == Matrix.identity(b, a.n)
+    a2 = make_correspondence(pt, pt, a.n, s * a.p * s_inv, [])
     assert a2 != a
     iso = pt_conjugation_certificate(a, a2)
     assert verify_iso(iso)

@@ -74,6 +74,25 @@ def test_parser_errors():
         assert info.value.column == 7 and info.value.line is None
 
 
+def test_nesting_limit():
+    # 100 open parentheses or nested minus signs parse; the 101st is refused
+    # at its column.  A sign opening an expression does not nest.
+    x = parse_poly("x", AMB)
+    assert parse_poly("(" * 100 + "x" + ")" * 100, AMB) == x
+    assert parse_poly("-" * 101 + "x", AMB) == -x
+    assert parse_poly("2*" + "(-" * 100 + "x" + ")" * 100, AMB) == parse_poly("2*x", AMB)
+    for literal, column in (("(" * 3000 + "x" + ")" * 3000, 101),
+                            ("(" * 101 + "x" + ")" * 101, 101),
+                            ("-" * 3000 + "x", 102),
+                            ("x*" + "-" * 3000 + "x", 103)):
+        with pytest.raises(ParseError, match="nested too deeply") as info:
+            parse_poly(literal, AMB)
+        assert info.value.column == column
+    # sequential groups do not add up
+    assert parse_poly(" + ".join(["(" * 60 + "x" + ")" * 60] * 3), AMB) == \
+        parse_poly("3*x", AMB)
+
+
 @pytest.mark.parametrize("field, equal, zeros", [
     (PrimeField(5), [(-3, 2), (Fraction(1, 2), 3), (Fraction(-7, 3), 1)],
      [5, -10, Fraction(5, 3)]),

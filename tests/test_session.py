@@ -265,3 +265,54 @@ def test_unknown_variable_in_a_block_names_its_source_position():
     with pytest.raises(UnknownVariable) as err:
         parse_session(text)
     assert str(err.value) == "line 5, col 34: unknown variable 'z'; ambient has ('x',)"
+
+
+READER_PREFIX = """format 1
+field Q
+variety pt { vars = []; ideal = [] }
+variety A1 { vars = [x]; ideal = [] }
+corr G : A1 -> A1 { n = 1; unit = [[1]]; gen x = [[x]] }
+morphism TH : G -> G { matrix = [[2]] }
+morphism THI : G -> G { matrix = [[1/2]] }
+"""
+
+
+@pytest.mark.parametrize("statement, error, message", [
+    ("variety B { vars = x; ideal = [] }", ParseError, "expected a [...] list"),
+    ("variety B { vars [x] }", ParseError, "expected key = value"),
+    ("variety B { vars = [x]; order = [x] }", ParseError,
+     "variety block takes vars and ideal"),
+    ("map f : A1 -> A1 { }", ParseError, "map 'f' missing image for 'x'"),
+    ("map f : A1 -> A1 { x = x; y = x }", ParseError,
+     "map 'f' assigns unknown variables ['y']"),
+    ("corr C : pt -> pt { n = 1; unit = [[1]]; size = 2 }", ParseError,
+     "unknown corr field 'size'"),
+    ("corr C : pt -> pt { n = 1 }", ParseError, "corr 'C' needs n and unit"),
+    ("corr C : pt -> A1 { n = 1; unit = [[1]] }", ParseError, "corr 'C' missing gen 'x'"),
+    ("corr C : pt -> pt { n = 1; unit = [[1]]; gen z = [[1]] }", ParseError,
+     "corr 'C' has gens for unknown variables ['z']"),
+    ("morphism M : G -> G { matrix = [[1]]; scale = 1 }", ParseError,
+     "morphism block takes exactly matrix"),
+    ("aut B { base = G; theta = [TH] }", ParseError,
+     "aut block takes base, theta and theta_inv"),
+    ("aut B { base = G; theta = [TH, TH]; theta_inv = [THI] }", ParseError,
+     "theta and theta_inv have different lengths"),
+    ("aut B { base = G; theta = [TH]; theta_inv = [NOPE] }", ResolveError,
+     "aut 'B' references undeclared morphism"),
+    ("variety B", ParseError, "variety declaration needs a {...} block"),
+    ("frobnicate B", ParseError, "unknown statement 'frobnicate'"),
+    ("variety B {\n  vars = [x];\n", ParseError, "unterminated block"),
+])
+def test_session_reader_errors_exit_2_naming_their_line(statement, error, message,
+                                                         tmp_path, capsys):
+    text = READER_PREFIX + statement
+    assert READER_PREFIX.count("\n") == 7  # so the statement starts on line 8
+    with pytest.raises(error) as err:
+        parse_session(text)
+    assert err.value.detail.startswith(message) and err.value.line == 8
+    path = tmp_path / "bad.kc"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: line 8") and f": {message}" in stderr
