@@ -18,6 +18,11 @@ _IDENT_CONT = _IDENT_START | set("0123456789.")
 # most parentheses and unary minus signs open at once: deeper input is an
 # input error before the recursive descent can exhaust the interpreter's stack
 _MAX_NESTING = 100
+# budgets every product in a literal must keep, powers included: no exponent
+# (after ``^`` or of a variable in the result) above _MAX_EXPONENT, and at
+# most _MAX_TERM_PAIRS pairs of terms multiplied out
+_MAX_EXPONENT = 1000
+_MAX_TERM_PAIRS = 10 ** 5
 
 
 def tokenize(text: str, col_offset: int = 0):
@@ -66,8 +71,7 @@ class _ExprParser:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of expression",
-                             column=self.tokens[-1][2] if self.tokens else 1)
+            self.error("unexpected end of expression")
         self.pos += 1
         return tok
 
@@ -98,30 +102,46 @@ class _ExprParser:
             rhs = self.term()
             acc = acc + rhs if tok[1] == "+" else acc - rhs
 
+    def times(self, a: Poly, b: Poly, tok) -> Poly:
+        """``a * b``, refused at ``tok`` when it would break a budget."""
+        top = max((max(ea) + max(eb) for ea, eb in zip(zip(*a.terms), zip(*b.terms))),
+                  default=0)
+        if top > _MAX_EXPONENT or len(a.terms) * len(b.terms) > _MAX_TERM_PAIRS:
+            self.error("polynomial literal too large", tok)
+        return a * b
+
     def term(self) -> Poly:
         acc = self.factor()
         while True:
             tok = self.peek()
             if tok is None:
                 return acc
-            if tok[0] == "op" and tok[1] == "*":
+            if tok[:2] == ("op", "*"):
                 self.next()
-                acc = acc * self.factor()
-            elif tok[0] in ("int", "ident") or (tok[0] == "op" and tok[1] == "("):
-                acc = acc * self.factor()  # implicit multiplication
-            else:
+            elif not (tok[0] in ("int", "ident") or tok[:2] == ("op", "(")):
                 return acc
+            acc = self.times(acc, self.factor(), tok)  # `*` written or implied
 
     def factor(self) -> Poly:
         base = self.atom()
         tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.next()
-            etok = self.next()
-            if etok[0] != "int":
-                self.error("exponent must be a nonnegative integer", etok)
-            base = base ** int(etok[1])
-        return base
+        if not (tok and tok[0] == "op" and tok[1] == "^"):
+            return base
+        self.next()
+        etok = self.next()
+        if etok[0] != "int":
+            self.error("exponent must be a nonnegative integer", etok)
+        digits = etok[1].lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+            self.error("polynomial literal too large", tok)
+        e, power = int(digits), Poly.one(self.ambient)
+        while e:  # square and multiply, each product checked
+            if e & 1:
+                power = self.times(power, base, tok)
+            if e > 1:
+                base = self.times(base, base, tok)
+            e >>= 1
+        return power
 
     def atom(self) -> Poly:
         tok = self.next()

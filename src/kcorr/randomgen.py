@@ -11,6 +11,7 @@ element, which gives denser, less structured instances.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -70,20 +71,13 @@ def random_poly(x: AffVariety, rng: random.Random, max_deg: int = 2,
 
 # -- points of a variety with coordinates in another coordinate ring ---------
 
-_scalar_point_cache: dict = {}
-
-
+@functools.cache
 def _scalar_points(y: AffVariety):
     """All target points with coordinates in the small scalar sample pool."""
-    cached = _scalar_point_cache.get(y)
-    if cached is not None:
-        return cached
     pt = point(y.field)
     combos = iter_product(y.field.elements_sample(), repeat=len(y.vars))
-    points = [combo for combo in combos
-              if broken_relation(pt, y, [QElem.const(pt.gb, c) for c in combo]) is None]
-    _scalar_point_cache[y] = points
-    return points
+    return [combo for combo in combos
+            if broken_relation(pt, y, [QElem.const(pt.gb, c) for c in combo]) is None]
 
 
 def sample_point(x: AffVariety, y: AffVariety, rng: random.Random,

@@ -1,7 +1,8 @@
 """Presented affine varieties, products and coordinate-ring pullbacks.
 
-A variety here is nothing more than a presentation: named variables, ideal
-generators and a cached reduced basis, always in the degrevlex order.
+A variety here is nothing more than a presentation: named variables and
+ideal generators, compared as a frozen value.  Its degrevlex ring and
+reduced basis are derived from the presentation when first used.
 Products rename variables by prefixing with the factor name (``.`` is the
 reserved separator), and the flattened factor list makes the product strictly
 associative at the data level - both association orders produce the identical
@@ -12,6 +13,7 @@ into its base and that torus (``split_torus``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (AmbientMismatch, FieldMismatch, InvalidArity,
                      NotWellDefined, ParseError, ShapeError, UnknownVariable)
@@ -21,21 +23,24 @@ from .exactalg import (DEGREVLEX, Ambient, Field, Matrix, Poly, QElem,
 SEPARATOR = "."
 
 
+@dataclass(frozen=True)
 class AffVariety:
-    """A presented affine variety with its reduced degrevlex basis cached."""
+    """A presented affine variety; equal presentations are equal varieties."""
 
-    __slots__ = ("name", "vars", "ideal_gens", "field", "factors", "ambient",
-                 "gb", "_hash")
+    name: str
+    vars: tuple
+    ideal_gens: tuple
+    field: Field
+    factors: tuple | None = None
 
-    def __init__(self, name, variables, ideal_gens, field, factors=None):
-        self.name = name
-        self.vars = tuple(variables)
-        self.ideal_gens = tuple(ideal_gens)
-        self.field = field
-        self.factors = factors
-        self.ambient = Ambient(self.vars, field, DEGREVLEX)
-        self.gb = buchberger(self.ideal_gens, self.ambient)
-        self._hash = None
+    @cached_property
+    def ambient(self) -> Ambient:
+        return Ambient(self.vars, self.field, DEGREVLEX)
+
+    @cached_property
+    def gb(self):
+        """The reduced degrevlex basis, computed when first used."""
+        return buchberger(self.ideal_gens, self.ambient)
 
     # ring access ---------------------------------------------------------
 
@@ -62,21 +67,6 @@ class AffVariety:
 
     def is_point(self) -> bool:
         return not self.vars and not self.ideal_gens
-
-    # equality is presentation equality ------------------------------------
-
-    def _key(self):
-        return (self.name, self.vars, self.ideal_gens, self.field, self.factors)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, AffVariety) and self._key() == other._key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
 
     def __repr__(self):
         return f"AffVariety({self.name}: k[{', '.join(self.vars)}]/{len(self.ideal_gens)} gens)"
@@ -280,27 +270,17 @@ def compose_maps(outer: VarMorphism, inner: VarMorphism) -> VarMorphism:
                        tuple(inner.pull(img) for img in outer.images))
 
 
-def _split_var_names(prod: AffVariety, n_left: int):
-    """Variables of ``prod`` from its first ``n_left`` factors, and the rest."""
-    embeds = factor_embeddings(_flatten(prod))
-    return ([name for emb in embeds[:n_left] for name in emb.values()],
-            [name for emb in embeds[n_left:] for name in emb.values()])
-
-
 def product_morphism(f: VarMorphism, g: VarMorphism) -> VarMorphism:
     """Componentwise product  f x g : src(f) x src(g) -> tgt(f) x tgt(g)."""
     src = product(f.source, g.source)
     tgt = product(f.target, g.target)
-    # positional alignment: vars of f.source appear in src in the same order
-    left_names, right_names = _split_var_names(src, len(_flatten(f.source)))
-    f_rename = dict(zip(f.source.vars, left_names))
-    g_rename = dict(zip(g.source.vars, right_names))
-    images = []
-    for img in f.images:
-        images.append(QElem(src.gb, img.rep.rename(f_rename, src.ambient)))
-    for img in g.images:
-        images.append(QElem(src.gb, img.rep.rename(g_rename, src.ambient)))
-    return VarMorphism(src, tgt, tuple(images))
+    # a product lists its factors' variables in factor order
+    k = len(f.source.vars)
+    renames = ((f, dict(zip(f.source.vars, src.vars[:k]))),
+               (g, dict(zip(g.source.vars, src.vars[k:]))))
+    return VarMorphism(src, tgt, tuple(
+        QElem(src.gb, img.rep.rename(rename, src.ambient))
+        for m, rename in renames for img in m.images))
 
 
 def split_projections(prod: AffVariety, left: AffVariety, right: AffVariety):
@@ -308,6 +288,6 @@ def split_projections(prod: AffVariety, left: AffVariety, right: AffVariety):
     # product() is a function of the flattened factor lists: compare those
     if prod.factors != _flatten(left) + _flatten(right):
         raise ShapeError(f"{prod.name} is not the product of {left.name} and {right.name}")
-    names = _split_var_names(prod, len(_flatten(left)))
-    return tuple(VarMorphism(prod, part, tuple(prod.var(n) for n in part_names))
-                 for part, part_names in zip((left, right), names))
+    k = len(left.vars)
+    return tuple(VarMorphism(prod, part, tuple(prod.var(n) for n in names))
+                 for part, names in ((left, prod.vars[:k]), (right, prod.vars[k:])))

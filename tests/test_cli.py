@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,42 @@ def test_deeply_nested_literal_is_an_input_error(capsys):
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == (
         "error: line 3, col 134: expression nested too deeply\n")
+
+
+@pytest.mark.parametrize("ideal, column", [(None, 48),
+                                            ("x^2000000 - 1, x^2 - 2", 38)])
+def test_huge_power_is_an_input_error(ideal, column, tmp_path, capsys):
+    path = Path(__file__).resolve().parent / "data" / "huge_power.kc"
+    if ideal is not None:
+        path = tmp_path / "huge.kc"
+        path.write_text("field Q\nvariety V { vars = [x, y]; ideal = [%s] }\n"
+                        % ideal, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: line 2, col {column}: polynomial literal too large\n")
+
+
+def test_compare_bimodule_with_invalid_matrices(tmp_path, capsys):
+    """A matrix that does not intertwine, then one of the wrong shape: both
+    sides reject each, the first by test and the second by raising."""
+    path = tmp_path / "invalid.kc"
+    path.write_text(SESSION + "corr H : A1 -> A1 { n = 2; unit = [[1, 0], [0, 1]]; "
+                    "gen x = [[x, 0], [0, 0]] }\n"
+                    "compare-bimodule H H [[0, 1], [0, 0]]\n"
+                    "compare-bimodule G G [[x, 0]]\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    verdicts = ["correspondence-hom: invalid", "bimodule-hom:       invalid",
+                "agree: True"]
+    assert out == (["> compare-bimodule H H [[0, 1], [0, 0]]"] + verdicts
+                   + ["> compare-bimodule G G [[x, 0]]"] + verdicts)
+
+
+def test_command_without_session_file_exits_2(capsys):
+    assert main(["compose"]) == 2
+    assert capsys.readouterr().err == "error: command compose needs a SESSION file\n"
 
 
 def test_printed_results_reparse(session_file, capsys):

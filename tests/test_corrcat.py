@@ -12,7 +12,7 @@ from kcorr.corrcat import (add_morphisms, compose_vertical, direct_sum,
 from kcorr.cli import main
 from kcorr.corrcat import _law_checked, _trusted_object
 from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
-                          InvalidObject, UnknownVariable)
+                          InvalidObject, ShapeError, UnknownVariable)
 from kcorr.exactalg import Matrix, QElem, QQ, PrimeField
 from kcorr.randomgen import GenBounds, random_object, random_morphism_from
 from kcorr.varieties import make_morphism, make_variety, point
@@ -220,3 +220,88 @@ def test_bad_input_stays_a_user_error(setting, tmp_path, capsys):
                     "corr C : pt -> pt { n = 1; unit = [[2]] }\n", encoding="utf-8")
     assert main(["--debug-validate", "validate", str(path)]) == 2
     assert "idempotent law p*p = p fails" in capsys.readouterr().err
+
+
+def _input_check_world():
+    pt, line = point(QQ), make_variety("A1", ["x"], [], QQ)
+    two = make_variety("TwoPts", ["y"], ["y^2 - y"], QQ)
+    plane = make_variety("A2", ["x", "y"], [], QQ)
+    b = pt.gb
+    one, zero = QElem.one(b), QElem.zero(b)
+    e11 = Matrix.diagonal(b, [one, zero])
+    e12 = Matrix(b, [[zero, one], [zero, zero]])
+    e21 = Matrix(b, [[zero, zero], [one, zero]])
+    obj = make_correspondence(pt, two, 2, Matrix.identity(b, 2), [e11])
+    other = make_correspondence(pt, two, 2, Matrix.identity(b, 2), [Matrix.identity(b, 2)])
+    square = make_correspondence(pt, pt, 2, Matrix.identity(b, 2), [])
+    return dict(pt=pt, line=line, two=two, plane=plane, b=b, e11=e11, e12=e12,
+                e21=e21, obj=obj, other=other, square=square,
+                ident=identity_morphism(obj), i2=Matrix.identity(b, 2),
+                foreign=Matrix.identity(line.gb, 2))
+
+
+# (case, call, error type, message): one case per input check of the module
+INPUT_CHECKS = [
+    ("idempotent-ring", lambda w: make_correspondence(
+        w["pt"], w["pt"], 2, w["foreign"], []),
+     AmbientMismatch, "idempotent not over k[pt]"),
+    ("idempotent-shape", lambda w: make_correspondence(
+        w["pt"], w["pt"], 1, w["i2"], []),
+     ShapeError, "idempotent must be 1x1"),
+    ("image-count", lambda w: make_correspondence(
+        w["pt"], w["two"], 2, w["i2"], []),
+     ShapeError, "expected 1 generator images for TwoPts, got 0"),
+    ("image-ring", lambda w: make_correspondence(
+        w["pt"], w["two"], 2, w["i2"], [w["foreign"]]),
+     AmbientMismatch, "generator image not over k[pt]"),
+    ("image-shape", lambda w: make_correspondence(
+        w["pt"], w["two"], 2, w["i2"], [Matrix.identity(w["b"], 1)]),
+     ShapeError, "generator images must be 2x2"),
+    ("corner-law", lambda w: make_correspondence(
+        w["pt"], w["line"], 2, w["e11"], [w["e21"]]),
+     InvalidObject, "corner law p*A = A fails for generator x"),
+    ("commutation-law", lambda w: make_correspondence(
+        w["pt"], w["plane"], 2, w["i2"], [w["e11"], w["e12"]]),
+     InvalidObject, "commutation law fails for generators x, y"),
+    ("morphism-endpoints", lambda w: make_corr_morphism(
+        w["obj"], w["square"], w["i2"]),
+     AmbientMismatch, "morphism endpoints over different (X, Y)"),
+    ("morphism-ring", lambda w: make_corr_morphism(
+        w["obj"], w["obj"], w["foreign"]),
+     AmbientMismatch, "matrix not over k[pt]"),
+    ("morphism-shape", lambda w: make_corr_morphism(
+        w["obj"], w["obj"], Matrix.identity(w["b"], 1)),
+     ShapeError, "matrix must be 2x2"),
+    ("zero-morphism", lambda w: zero_morphism(w["obj"], w["square"]),
+     AmbientMismatch, "morphism endpoints over different (X, Y)"),
+    ("compose-vertical", lambda w: compose_vertical(
+        w["ident"], identity_morphism(w["other"])),
+     AmbientMismatch, "morphisms are not composable"),
+    ("add-morphisms", lambda w: add_morphisms(
+        w["ident"], identity_morphism(w["other"])),
+     AmbientMismatch, "morphism sum needs identical endpoints"),
+]
+
+
+@pytest.mark.parametrize("make, error, message",
+                         [case[1:] for case in INPUT_CHECKS],
+                         ids=[case[0] for case in INPUT_CHECKS])
+def test_input_checks(make, error, message):
+    with pytest.raises(error) as info:
+        make(_input_check_world())
+    assert type(info.value) is error and info.value.detail == message
+
+
+@pytest.mark.parametrize("block, message", [
+    ("n = 2; unit = [[1, 0], [0, 0]]; gen x = [[0, 0], [1, 0]]; gen y = [[0, 0], [0, 0]]",
+     "corner law p*A = A fails for generator x"),
+    ("n = 2; unit = [[1, 0], [0, 1]]; gen x = [[1, 0], [0, 0]]; gen y = [[0, 1], [0, 0]]",
+     "commutation law fails for generators x, y"),
+], ids=["corner-law", "commutation-law"])
+def test_object_laws_through_run(block, message, tmp_path, capsys):
+    path = tmp_path / "laws.kc"
+    path.write_text("field Q\nvariety pt { vars = []; ideal = [] }\n"
+                    "variety A2 { vars = [x, y]; ideal = [] }\n"
+                    f"corr C : pt -> A2 {{ {block} }}\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 4: {message}\n"

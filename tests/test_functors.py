@@ -6,13 +6,15 @@ import pytest
 from kcorr.config import debug_validation
 from kcorr.corrcat import (graph_object, identity_object, make_correspondence,
                            make_corr_morphism)
-from kcorr.errors import InternalLawViolation, InvalidCertificate, ShapeError
+from kcorr.errors import (InternalLawViolation, InvalidArity, InvalidCertificate,
+                          ShapeError)
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ
 from kcorr.functors import (aut_morphism_from_torus, box_mor, box_product,
-                            make_aut_object, pullback_aut, pullback_mor,
-                            pullback_obj, pushforward_aut, pushforward_mor,
-                            pushforward_obj, to_automorphism_object,
-                            to_torus_object, torus_morphism_from_aut)
+                            make_aut_morphism, make_aut_object, pullback_aut,
+                            pullback_mor, pullback_obj, pushforward_aut,
+                            pushforward_mor, pushforward_obj,
+                            to_automorphism_object, to_torus_object,
+                            torus_morphism_from_aut)
 from kcorr.pairing import compose_morphisms, compose_objects
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
                              random_morphism_from, random_object, sample_map)
@@ -167,6 +169,22 @@ def test_torus_round_trips_randomized(pool):
         assert torus_morphism_from_aut(aut_morphism_from_torus(mor)).mat == mor.mat
 
 
+def test_targets_defer_their_basis(pool, monkeypatch):
+    import kcorr.varieties
+    pt, line, two, gm = pool
+    aut = random_aut_object(line, two, 2, rng=random.Random(3), bounds=BOUNDS)
+    calls = []
+    true_buchberger = kcorr.varieties.buchberger
+    monkeypatch.setattr(kcorr.varieties, "buchberger",
+                        lambda *args: calls.append(args) or true_buchberger(*args))
+    prod, torus = product(line, two), gm_power(2, QQ)
+    targets = [to_torus_object(aut).Y for _ in range(10)]
+    assert calls == []  # shapes and targets only: no basis read yet
+    assert targets[0] == product(two, torus) and prod.vars == ("A1.x", "TwoPts.y")
+    assert len(torus.gb.gens) == 2 and len(calls) == 1
+    assert targets[0].gb is targets[0].gb and len(calls) == 2
+
+
 def test_theta_inverse_of_identity_is_projector(pool):
     pt, line, two, gm = pool
     base = random_object(line, two, seed=8, bounds=BOUNDS)
@@ -273,3 +291,50 @@ def test_torus_split_equals_pushforward_definition(field, debug):
     with debug_validation(debug):
         for obj in objs:
             assert to_automorphism_object(obj) == _split_by_pushforward(obj)
+
+
+def _aut_world():
+    pt = point(QQ)
+    b = pt.gb
+    one, zero = QElem.one(b), QElem.zero(b)
+    mat = lambda rows: Matrix(b, [[QElem.const(b, Fraction(v)) for v in r] for r in rows])
+    base = make_correspondence(pt, pt, 2, Matrix.identity(b, 2), [])
+    other = make_correspondence(pt, pt, 2, Matrix.diagonal(b, [one, zero]), [])
+    upper = (make_corr_morphism(base, base, mat([[1, 1], [0, 1]])),
+             make_corr_morphism(base, base, mat([[1, -1], [0, 1]])))
+    lower = (make_corr_morphism(base, base, mat([[1, 0], [1, 1]])),
+             make_corr_morphism(base, base, mat([[1, 0], [-1, 1]])))
+    ident = make_corr_morphism(base, base, base.p)
+    return dict(base=base, other=other, upper=upper, lower=lower, ident=ident,
+                one_aut=make_aut_object(base, [upper]),
+                two_aut=make_aut_object(base, [upper, upper]),
+                other_ident=make_corr_morphism(other, other, other.p))
+
+
+# (case, call, error type, message): one case per input check of the module
+AUT_CHECKS = [
+    ("aut-endpoints", lambda w: make_aut_object(
+        w["base"], [(w["other_ident"], w["other_ident"])]),
+     InvalidCertificate, "automorphism endpoints must be the base object"),
+    ("aut-commutation", lambda w: make_aut_object(
+        w["base"], [w["upper"], w["lower"]]),
+     InvalidCertificate, "automorphisms 1 and 2 do not commute"),
+    ("aut-morphism-endpoints", lambda w: make_aut_morphism(
+        w["one_aut"], w["one_aut"], w["other_ident"]),
+     ShapeError, "underlying morphism endpoints do not match the bases"),
+    ("aut-morphism-arity", lambda w: make_aut_morphism(
+        w["one_aut"], w["two_aut"], w["ident"]),
+     ShapeError, "automorphism arities differ"),
+    ("torus-without-automorphisms", lambda w: to_torus_object(
+        make_aut_object(w["base"], [])),
+     InvalidArity, "need at least one automorphism to build a torus target"),
+]
+
+
+@pytest.mark.parametrize("make, error, message",
+                         [case[1:] for case in AUT_CHECKS],
+                         ids=[case[0] for case in AUT_CHECKS])
+def test_input_checks(make, error, message):
+    with pytest.raises(error) as info:
+        make(_aut_world())
+    assert type(info.value) is error and info.value.detail == message

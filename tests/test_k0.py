@@ -9,7 +9,7 @@ from kcorr.corrcat import (IsoCertificate, direct_sum, identity_morphism,
 from kcorr.errors import InvalidCertificate, NotIntegral, ShapeError, UnknownObject
 from kcorr.exactalg import (Matrix, PrimeField, QElem, QQ, rank_factorization,
                             rank_over_fraction_field, scalar_value)
-from kcorr.k0 import (K0Ledger, k0_class, k0_compose, k0_register,
+from kcorr.k0 import (K0Class, K0Ledger, k0_class, k0_compose, k0_register,
                       k0_register_sum, pt_conjugation_certificate, rank,
                       transport_certificate)
 from kcorr.pairing import compose_objects
@@ -290,3 +290,24 @@ def test_transport_certificate_on_both_sides(side):
         assert (moved.fwd.src, moved.fwd.dst) == (pair(a), pair(b2))
         transported += 1
     assert transported >= 5
+
+
+def test_ledger_compresses_paths_and_keeps_the_smallest_root():
+    pt = point(QQ)
+    b = pt.gb
+    one, zero = QElem.one(b), QElem.zero(b)
+    objs = [make_correspondence(pt, pt, len(diag), Matrix.diagonal(b, diag), [])
+            for diag in ([one], [one, zero], [zero, one], [zero, zero, one])]
+    ledger = K0Ledger(pt, pt)
+    assert [ledger.register(o) for o in objs] == [0, 1, 2, 3]
+    for i, j in ((2, 3), (1, 2)):  # builds the chain 3 -> 2 -> 1
+        k0_register(ledger, pt_conjugation_certificate(objs[i], objs[j]))
+    assert ledger._parent == [0, 1, 1, 2]
+    # finding 3 compresses its path to root 1; root 0 is smaller and wins
+    k0_register(ledger, pt_conjugation_certificate(objs[3], objs[0]))
+    assert ledger._parent == [0, 0, 1, 1]
+    assert ledger.classes() == [[0, 1, 2, 3]]
+    assert k0_class(ledger, [(1, objs[3]), (-1, objs[0])]).is_zero()
+    cls = k0_class(ledger, [(2, objs[2]), (1, objs[1])])
+    assert cls == K0Class(((0, 3),)) and repr(cls) == "K0Class(3*[0])"
+    assert repr(k0_class(ledger, [])) == "K0Class(0)"

@@ -21,6 +21,18 @@ def test_small_run_passes_both_fields():
     assert len(report.results) == 28
 
 
+def test_law_suite_computes_bases_only_when_read(monkeypatch):
+    import kcorr.varieties
+    calls = []
+    true_buchberger = kcorr.varieties.buchberger
+    monkeypatch.setattr(kcorr.varieties, "buchberger",
+                        lambda *args: calls.append(args) or true_buchberger(*args))
+    assert law_suite(seed=42, cases=30).ok
+    # 1,132 runs from a fresh interpreter; 2,876 when every product and torus
+    # computed its basis as it was built
+    assert len(calls) <= 1200
+
+
 def test_report_is_deterministic_modulo_wall_time():
     a = law_suite(seed=11, cases=2)
     b = law_suite(seed=11, cases=2)
@@ -80,6 +92,22 @@ def test_mutated_flatten_reports_every_failing_check_of_a_case(monkeypatch):
     case_8 = [f.check for f in report.failures if f.case_index == 8]
     assert case_8 == ["unit-object", "interchange"]
     assert f"failures={len(report.failures)}" in report.to_text()
+
+
+def test_json_lines_report_of_failing_checks(monkeypatch):
+    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    report = law_suite(seed=42, cases=25, fields=(PrimeField(5),),
+                       laws=("pairing-bifunctor",))
+    *results, summary = map(json.loads, report.to_json_lines().splitlines())
+    records = [f for r in results for f in r["failures"]]
+    assert records
+    for record in records:
+        assert set(record) == {"law", "check", "field", "case", "seed",
+                               "message", "inputs"}
+        assert (record["law"], record["field"], record["seed"]) == \
+            ("pairing-bifunctor", "F5", 42)
+        assert record["inputs"].startswith("field Fp 5")
+    assert summary["summary"]["failures"] == len(records)
 
 
 def test_case_setup_error_is_listed_after_the_failed_checks(monkeypatch):

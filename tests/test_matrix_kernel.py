@@ -241,3 +241,26 @@ def test_separately_built_equal_bases_compare_equal():
     a = Matrix(variety.gb, [[QElem(twin, variety.var("t1").rep)]])
     b = Matrix(twin, [[variety.var("s1")]])
     assert a * b == Matrix.identity(twin, 1) == Matrix.identity(variety.gb, 1)
+
+
+def test_subtraction_and_negation():
+    gb = RINGS["T3-Q"].gb
+    y = QElem.variable(gb, "y")
+    a = Matrix(gb, [[y, QElem.one(gb)]])
+    b = Matrix(gb, [[y * y * y, y]])
+    assert a - b == a + (-b) == Matrix(gb, [[QElem.zero(gb), QElem.one(gb) - y]])
+    assert -(-a) == a and (a - a).is_zero()
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda a, b: a + b, "matrix addition shape mismatch"),
+    (lambda a, b: a - b, "matrix subtraction shape mismatch"),
+    (lambda a, b: a * b, "cannot multiply 2x1 by 2x2"),
+], ids=["add", "sub", "mul"])
+def test_shape_errors(op, message):
+    gb = RINGS["T3-Q"].gb
+    square = Matrix.identity(gb, 2)
+    column = Matrix(gb, [row[:1] for row in square.rows], 2, 1)
+    with pytest.raises(ShapeError) as info:
+        op(column, square)
+    assert info.value.detail == message

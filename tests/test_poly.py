@@ -93,6 +93,23 @@ def test_nesting_limit():
         parse_poly("3*x", AMB)
 
 
+def test_literal_budgets():
+    # exponents up to 1,000 and products of up to 10^5 term pairs parse; one
+    # more is refused at the ^ or * that would form the product
+    amb = Ambient(("x", "y"), PrimeField(1000003), DEGREVLEX)
+    assert len(parse_poly("x^1000 y^1000", amb).terms) == 1
+    assert len(parse_poly("(x + 1)^249 * (y + 1)^399", amb).terms) == 250 * 400
+    for literal, column in (("x^1001", 2), ("x^" + "0" * 5000 + "1001", 2),
+                            ("x^2000000 - 1", 2), ("x^500*y*x^501", 8),
+                            ("x^600 x^401", 7), ("(x^10)^101", 7),
+                            ("(x + 1)^250 * (y + 1)^399", 13),
+                            ("(x + 1)^250 (y + 1)^399", 13),
+                            ("1 + (x + y + 1)^400", 16)):
+        with pytest.raises(ParseError, match="polynomial literal too large") as info:
+            parse_poly(literal, amb)
+        assert info.value.column == column
+
+
 @pytest.mark.parametrize("field, equal, zeros", [
     (PrimeField(5), [(-3, 2), (Fraction(1, 2), 3), (Fraction(-7, 3), 1)],
      [5, -10, Fraction(5, 3)]),

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from kcorr.errors import (FieldMismatch, InvalidArity, NotWellDefined,
-                          ShapeError, UnknownVariable)
-from kcorr.exactalg import PrimeField, QQ, buchberger
+from kcorr.errors import (AmbientMismatch, FieldMismatch, InvalidArity,
+                          NotWellDefined, ShapeError, UnknownVariable)
+from kcorr.exactalg import (DEGREVLEX, Ambient, Poly, PrimeField, QQ,
+                            buchberger)
 from kcorr.varieties import (compose_maps, gm_power, identity_map,
                              make_morphism, make_variety, point, product,
                              product_morphism, split_projections, split_torus,
@@ -175,13 +176,50 @@ def test_split_torus_shapes_and_base_cost(qq_pool, monkeypatch):
     assert split_torus(product(two, gm2)) == (two, gm2, 2)
     three = product(product(line, two), line)
     y = product(three, gm1)
-    calls = []
+    calls, assembled = [], []
     true_buchberger = kcorr.varieties.buchberger
+    true_assemble = kcorr.varieties._assemble_product
     monkeypatch.setattr(kcorr.varieties, "buchberger",
                         lambda *args: calls.append(args) or true_buchberger(*args))
-    assert split_torus(y) == (three, gm1, 1)
-    assert len(calls) == 1  # the three-factor base is assembled once
+    monkeypatch.setattr(kcorr.varieties, "_assemble_product",
+                        lambda fs: assembled.append(fs) or true_assemble(fs))
+    split = split_torus(y)
+    assert split == (three, gm1, 1)
+    # the three-factor base is assembled once, its basis computed when read
+    assert len(assembled) == 1 and calls == []
+    assert split[0].gb is split[0].gb
+    assert len(calls) == 1
     with pytest.raises(ShapeError):
         split_torus(product(gm1, line))
     with pytest.raises(ShapeError):
         split_torus(line)
+
+
+def _foreign_generator():
+    other = Ambient(("y",), QQ, DEGREVLEX)
+    return make_variety("V", ["x"], [Poly.variable(other, "y")], QQ)
+
+
+# (case, call, error type, message): one case per input check of the module
+VARIETY_CHECKS = [
+    ("morphism-field", lambda line, two: make_morphism(
+        line, make_variety("A1", ["x"], [], PrimeField(5)), ["x"]),
+     FieldMismatch, "Q vs F5"),
+    ("morphism-image-count", lambda line, two: make_morphism(line, two, []),
+     InvalidArity, "expected 1 images for TwoPts, got 0"),
+    ("foreign-generator", lambda line, two: _foreign_generator(),
+     UnknownVariable, "generator y not over ('x',)"),
+    ("compose-mismatch", lambda line, two: compose_maps(
+        identity_map(line), identity_map(two)),
+     AmbientMismatch, "cannot compose A1->A1 after TwoPts->TwoPts"),
+]
+
+
+@pytest.mark.parametrize("make, error, message",
+                         [case[1:] for case in VARIETY_CHECKS],
+                         ids=[case[0] for case in VARIETY_CHECKS])
+def test_input_checks(qq_pool, make, error, message):
+    _, line, two = qq_pool
+    with pytest.raises(error) as info:
+        make(line, two)
+    assert type(info.value) is error and info.value.detail == message
