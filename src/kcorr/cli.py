@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from itertools import combinations
 
 from . import bimod, config, functors, k0 as k0mod, pairing
 from .corrcat import make_corr_morphism
@@ -54,45 +53,15 @@ def cmd_validate(session: Session, args, out) -> int:
     return EXIT_OK
 
 
-def cmd_compose(session: Session, args, out) -> int:
-    first = _get(session, args[0], "corrs")
-    second = _get(session, args[1], "corrs")
-    composite = pairing.compose_objects(first, second)
-    _print_declared(out, f"{args[1]}_o_{args[0]}", composite)
-    return EXIT_OK
-
-
-def cmd_pullback(session: Session, args, out) -> int:
-    f = _get(session, args[0], "maps")
-    obj = _get(session, args[1], "corrs")
-    _print_declared(out, f"{args[0]}_pull_{args[1]}", functors.pullback_obj(f, obj))
-    return EXIT_OK
-
-
-def cmd_pushforward(session: Session, args, out) -> int:
-    g = _get(session, args[0], "maps")
-    obj = _get(session, args[1], "corrs")
-    _print_declared(out, f"{args[0]}_push_{args[1]}", functors.pushforward_obj(g, obj))
-    return EXIT_OK
-
-
-def cmd_box(session: Session, args, out) -> int:
-    f = _get(session, args[0], "maps")
-    obj = _get(session, args[1], "corrs")
-    _print_declared(out, f"{args[0]}_box_{args[1]}", functors.box_product(f, obj))
-    return EXIT_OK
-
-
-def cmd_rho(session: Session, args, out) -> int:
-    obj = _get(session, args[0], "corrs")
-    _print_declared(out, args[0], functors.to_automorphism_object(obj))
-    return EXIT_OK
-
-
-def cmd_rho_inv(session: Session, args, out) -> int:
-    aut = _get(session, args[0], "auts")
-    _print_declared(out, f"{args[0]}_torus", functors.to_torus_object(aut))
-    return EXIT_OK
+def _derived(kinds, build, name):
+    """The command row that looks up one operand of each of ``kinds``, calls
+    ``build`` on them and prints the result under ``name`` formatted with
+    the arguments."""
+    def handler(session: Session, args, out) -> int:
+        operands = [_get(session, arg, kind) for arg, kind in zip(args, kinds)]
+        _print_declared(out, name.format(*args), build(*operands))
+        return EXIT_OK
+    return handler, len(kinds), len(kinds)
 
 
 def cmd_compare_bimodule(session: Session, args, out) -> int:
@@ -118,46 +87,24 @@ def cmd_compare_bimodule(session: Session, args, out) -> int:
 
 
 def cmd_k0(session: Session, args, out) -> int:
-    names = args if args else list(session.corrs)
     groups: dict = {}
-    for name in names:
+    for name in args or list(session.corrs):
         obj = _get(session, name, "corrs")
         groups.setdefault((obj.X, obj.Y), []).append((name, obj))
     for (x, y), members in groups.items():
         out(f"k0 report over ({x.name}, {y.name}): {len(members)} objects")
-        ledger = k0mod.K0Ledger(x, y)
-        by_id = {}
-        for name, obj in members:
-            by_id[ledger.register(obj)] = name
-        if x.is_point() and y.is_point():
-            for i, j in combinations(sorted(by_id), 2):
-                cert = k0mod.pt_conjugation_certificate(ledger.object_of(i),
-                                                        ledger.object_of(j))
-                if cert is not None:
-                    k0mod.k0_register(ledger, cert)
-        ranks = {}
-        if not x.ideal_gens:
-            for i, name in by_id.items():
-                ranks[i] = k0mod.rank(ledger.object_of(i))
-            out("rank map: " + ", ".join(
-                f"{by_id[i]}={ranks[i]}" for i in sorted(by_id)))
-        else:
+        ledger, ranks, unresolved = k0mod.bracket(obj for _, obj in members)
+        name_of = {ledger.id_of(obj): name for name, obj in members}
+        if ranks is None:
             out("rank map: skipped (base variety has relations; integrality "
                 "not asserted)")
+        else:
+            out("rank map: " + ", ".join(f"{name_of[i]}={r}" for i, r in ranks.items()))
         for cls in ledger.classes():
-            out("class {" + ", ".join(by_id[i] for i in cls) + "}")
-        ids = sorted(by_id)
-        unresolved = []
-        for i in ids:
-            for j in ids:
-                if j <= i or ledger.find(i) == ledger.find(j):
-                    continue
-                if ranks and ranks.get(i) != ranks.get(j):
-                    continue
-                unresolved.append(f"[{by_id[i]}] vs [{by_id[j]}]")
+            out("class {" + ", ".join(name_of[i] for i in cls) + "}")
         if unresolved:
             out("unresolved (no certificate, no separating invariant): "
-                + "; ".join(unresolved))
+                + "; ".join(f"[{name_of[i]}] vs [{name_of[j]}]" for i, j in unresolved))
         else:
             out("brackets coincide: partition is exact")
     return EXIT_OK
@@ -187,14 +134,20 @@ def cmd_laws(session, args, out) -> int:
     return report.exit_code
 
 
+# word -> (handler, least and most arguments, None for no most); a derived
+# value's library call is looked up when the command runs, not bound here
 SESSION_COMMANDS = {
     "validate": (cmd_validate, 0, 0),
-    "compose": (cmd_compose, 2, 2),
-    "pullback": (cmd_pullback, 2, 2),
-    "pushforward": (cmd_pushforward, 2, 2),
-    "box": (cmd_box, 2, 2),
-    "rho": (cmd_rho, 1, 1),
-    "rho-inv": (cmd_rho_inv, 1, 1),
+    "compose": _derived(("corrs", "corrs"),
+                        lambda a, b: pairing.compose_objects(a, b), "{1}_o_{0}"),
+    "pullback": _derived(("maps", "corrs"),
+                         lambda f, o: functors.pullback_obj(f, o), "{0}_pull_{1}"),
+    "pushforward": _derived(("maps", "corrs"),
+                            lambda g, o: functors.pushforward_obj(g, o), "{0}_push_{1}"),
+    "box": _derived(("maps", "corrs"),
+                    lambda f, o: functors.box_product(f, o), "{0}_box_{1}"),
+    "rho": _derived(("corrs",), lambda o: functors.to_automorphism_object(o), "{0}"),
+    "rho-inv": _derived(("auts",), lambda a: functors.to_torus_object(a), "{0}_torus"),
     "compare-bimodule": (cmd_compare_bimodule, 3, None),
     "k0": (cmd_k0, 0, None),
     "laws": (cmd_laws, 0, None),

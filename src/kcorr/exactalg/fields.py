@@ -183,6 +183,11 @@ def parse_field(text: str) -> Field:
     if text == "Q":
         return QQ
     digits = text[3:] if text.startswith("Fp:") else text[1:] if text.startswith("F") else ""
-    if digits.strip().isdecimal():
+    digits = digits.strip()
+    if digits.isdecimal():
+        size = len(digits.lstrip("0"))
+        if size > len(str(_MAX_MODULUS)):  # refused before int() reads it
+            raise InvalidField(f"a {size}-digit modulus is too large; "
+                               "a prime field needs p < 2^64")
         return PrimeField(int(digits))
     raise InvalidField(f"unknown field spec {text!r}")

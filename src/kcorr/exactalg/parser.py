@@ -23,6 +23,9 @@ _MAX_NESTING = 100
 # most _MAX_TERM_PAIRS pairs of terms multiplied out
 _MAX_EXPONENT = 1000
 _MAX_TERM_PAIRS = 10 ** 5
+# most digits of a coefficient or denominator, leading zeros aside: the most
+# that CPython converts by default, so every integer it prints reads back
+_MAX_DIGITS = 4300
 
 
 def tokenize(text: str, col_offset: int = 0):
@@ -143,6 +146,12 @@ class _ExprParser:
             e >>= 1
         return power
 
+    def integer(self, tok) -> int:
+        """The value of an int token, refused at it beyond the digit budget."""
+        if len(tok[1].lstrip("0")) > _MAX_DIGITS:
+            self.error("polynomial literal too large", tok)
+        return int(tok[1])
+
     def atom(self) -> Poly:
         tok = self.next()
         kind, value, _ = tok
@@ -160,7 +169,7 @@ class _ExprParser:
             self.depth -= 1
             return inner
         if kind == "int":
-            num = int(value)
+            num = self.integer(tok)
             nxt = self.peek()
             if nxt and nxt[:2] == ("op", "/"):
                 self.next()
@@ -168,7 +177,7 @@ class _ExprParser:
                 if dtok[0] != "int":
                     self.error("expected integer denominator", dtok)
                 try:
-                    c = self.ambient.field.from_fraction(num, int(dtok[1]))
+                    c = self.ambient.field.from_fraction(num, self.integer(dtok))
                 except InvalidField as exc:
                     self.error(str(exc), dtok)
             else:

@@ -147,6 +147,14 @@ def make_aut_morphism(src: AutObject, dst: AutObject,
     return AutMorphism(src, dst, underlying)
 
 
+def _aut_on(base: CorrObject, pairs) -> AutObject:
+    """The derived automorphism object on ``base`` whose witness pairs have
+    the matrices ``pairs``."""
+    thetas = tuple((_trusted_morphism(base, base, a), _trusted_morphism(base, base, b))
+                   for a, b in pairs)
+    return _trusted(make_aut_object, AutObject, base, thetas)
+
+
 def to_automorphism_object(obj: CorrObject) -> AutObject:
     """Split the target's trailing torus coordinates into automorphisms.
 
@@ -157,14 +165,11 @@ def to_automorphism_object(obj: CorrObject) -> AutObject:
     coordinate y_i to its corner evaluation p*A_i, which is A_i for a valid
     object.
     """
-    y_base, _, arity = split_torus(obj.Y)
+    y_base, _, _ = split_torus(obj.Y)
     k = len(y_base.vars)
     base = _trusted_object(obj.X, y_base, obj.n, obj.p, obj.gen_images[:k])
     mats = obj.gen_images[k:]
-    thetas = tuple((_trusted_morphism(base, base, mats[2 * i]),
-                    _trusted_morphism(base, base, mats[2 * i + 1]))
-                   for i in range(arity))
-    return _trusted(make_aut_object, AutObject, base, thetas)
+    return _aut_on(base, zip(mats[0::2], mats[1::2]))
 
 
 def to_torus_object(aut: AutObject) -> CorrObject:
@@ -203,19 +208,12 @@ def torus_morphism_from_aut(amor: AutMorphism) -> CorrMorphism:
 
 def pullback_aut(f: VarMorphism, aut: AutObject) -> AutObject:
     """Base change of an automorphism object; witnesses transport entrywise."""
-    base = pullback_obj(f, aut.base)
-    thetas = tuple(
-        (_trusted_morphism(base, base, f.pull_matrix(fwd.mat)),
-         _trusted_morphism(base, base, f.pull_matrix(bwd.mat)))
-        for fwd, bwd in aut.thetas)
-    return _trusted(make_aut_object, AutObject, base, thetas)
+    return _aut_on(pullback_obj(f, aut.base),
+                   ((f.pull_matrix(fwd.mat), f.pull_matrix(bwd.mat))
+                    for fwd, bwd in aut.thetas))
 
 
 def pushforward_aut(g: VarMorphism, aut: AutObject) -> AutObject:
     """Target relabeling of an automorphism object; witnesses are unchanged."""
-    base = pushforward_obj(g, aut.base)
-    thetas = tuple(
-        (_trusted_morphism(base, base, fwd.mat),
-         _trusted_morphism(base, base, bwd.mat))
-        for fwd, bwd in aut.thetas)
-    return _trusted(make_aut_object, AutObject, base, thetas)
+    return _aut_on(pushforward_obj(g, aut.base),
+                   ((fwd.mat, bwd.mat) for fwd, bwd in aut.thetas))

@@ -7,11 +7,17 @@ the idempotent over the fraction field is the invariant shipped here.  A
 ledger therefore brackets each class query: certificates give the lower
 bound (merges), ranks the upper bound (separations), and the report says
 when the brackets disagree rather than guessing.
+
+``bracket`` is that policy in one call: it registers objects over one
+(X, Y) in a fresh ledger, searches certificates only over (pt, pt), ranks
+only over a base without relations, and returns the pairs of classes that
+neither bracket separates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .corrcat import (CorrObject, IsoCertificate, direct_sum, identity_morphism,
                       make_corr_morphism, verify_iso)
@@ -182,6 +188,28 @@ def k0_class(ledger: K0Ledger, formal_sum) -> K0Class:
         expanded[root] = expanded.get(root, 0) + coeff
     terms = tuple(sorted((i, c) for i, c in expanded.items() if c != 0))
     return K0Class(terms)
+
+
+def bracket(objects) -> tuple[K0Ledger, dict[int, int] | None, list[tuple[int, int]]]:
+    """Bracket the classes of ``objects``, all over one (X, Y).
+
+    Returns the ledger, merged by every certificate found; the rank of each
+    id, or None when the base has relations; and the id pairs ``i < j`` in
+    different classes that no rank separates.
+    """
+    objects = list(objects)
+    ledger = K0Ledger(objects[0].X, objects[0].Y)
+    ids = sorted({ledger.register(obj) for obj in objects})
+    if ledger.X.is_point() and ledger.Y.is_point():
+        for i, j in combinations(ids, 2):
+            cert = pt_conjugation_certificate(ledger.object_of(i), ledger.object_of(j))
+            if cert is not None:
+                k0_register(ledger, cert)
+    ranks = None if ledger.X.ideal_gens else {i: rank(ledger.object_of(i)) for i in ids}
+    unresolved = [(i, j) for i, j in combinations(ids, 2)
+                  if ledger.find(i) != ledger.find(j)
+                  and (ranks is None or ranks[i] == ranks[j])]
+    return ledger, ranks, unresolved
 
 
 def k0_compose(ledger_first: K0Ledger, ledger_second: K0Ledger,

@@ -235,6 +235,8 @@ def _declare_corr(session, header, body, col):
             if not value[0].isdecimal():
                 raise ParseError(f"n must be a natural number, got {value[0]!r}",
                                  column=value[1] + 1)
+            if len(value[0].lstrip("0")) > 20:  # more rows than any unit a file holds
+                raise ParseError("n too large", column=value[1] + 1)
             n = int(value[0])
         elif key == "unit":
             unit = _parse_matrix(value, x)

@@ -240,6 +240,33 @@ def test_huge_power_is_an_input_error(ideal, column, tmp_path, capsys):
         f"error: line 2, col {column}: polynomial literal too large\n")
 
 
+_HUGE = "1" * 5000  # past the 4,300 digits CPython's int() reads by default
+
+
+@pytest.mark.parametrize("text, error", [
+    ("field Q\nvariety V { vars = [x]; ideal = [%s*x] }\n" % _HUGE,
+     "line 2, col 34: polynomial literal too large"),
+    ("field Q\nvariety V { vars = [x]; ideal = [x - 1/%s] }\n" % _HUGE,
+     "line 2, col 40: polynomial literal too large"),
+    ("format 1\nfield Fp %s\n" % _HUGE,
+     "line 2: a 5000-digit modulus is too large; a prime field needs p < 2^64"),
+    ("field Q\nvariety pt { vars = []; ideal = [] }\n"
+     "corr P : pt -> pt { n = %s; unit = [[1]] }\n" % _HUGE,
+     "line 3, col 25: n too large"),
+], ids=["coefficient", "denominator", "field", "corr-n"])
+def test_huge_integer_is_an_input_error(text, error, tmp_path, capsys):
+    path = tmp_path / "huge.kc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_huge_field_modulus_in_laws_is_an_input_error(capsys):
+    assert main(["laws", "--field", "Fp:" + _HUGE]) == 2
+    assert capsys.readouterr().err == (
+        "error: a 5000-digit modulus is too large; a prime field needs p < 2^64\n")
+
+
 def test_compare_bimodule_with_invalid_matrices(tmp_path, capsys):
     """A matrix that does not intertwine, then one of the wrong shape: both
     sides reject each, the first by test and the second by raising."""

@@ -9,7 +9,8 @@ from kcorr.corrcat import (IsoCertificate, direct_sum, identity_morphism,
 from kcorr.errors import InvalidCertificate, NotIntegral, ShapeError, UnknownObject
 from kcorr.exactalg import (Matrix, PrimeField, QElem, QQ, rank_factorization,
                             rank_over_fraction_field, scalar_value)
-from kcorr.k0 import (K0Class, K0Ledger, k0_class, k0_compose, k0_register,
+from kcorr import k0
+from kcorr.k0 import (K0Class, K0Ledger, bracket, k0_class, k0_compose, k0_register,
                       k0_register_sum, pt_conjugation_certificate, rank,
                       transport_certificate)
 from kcorr.pairing import compose_objects
@@ -311,3 +312,57 @@ def test_ledger_compresses_paths_and_keeps_the_smallest_root():
     cls = k0_class(ledger, [(2, objs[2]), (1, objs[1])])
     assert cls == K0Class(((0, 3),)) and repr(cls) == "K0Class(3*[0])"
     assert repr(k0_class(ledger, [])) == "K0Class(0)"
+
+
+def _diagonal_objects(x, y, diagonals):
+    """One object over (x, y) per 0/1 diagonal of its idempotent."""
+    entries = (x.zero(), x.one())
+    return [make_correspondence(x, y, len(d),
+                                Matrix.diagonal(x.gb, [entries[e] for e in d]), [])
+            for d in diagonals]
+
+
+def test_bracket_over_a_point_merges_by_verified_certificates(monkeypatch):
+    pt = point(QQ)
+    half = pt.qelem("1/2")
+    swapped = make_correspondence(pt, pt, 2, Matrix(pt.gb, [[half, half], [half, half]]),
+                                  [])
+    objs = _diagonal_objects(pt, pt, ([1, 0], [1], [1, 1])) + [swapped]
+    found = []
+
+    def recording(a, b2):
+        cert = pt_conjugation_certificate(a, b2)
+        found.append(cert)
+        return cert
+
+    monkeypatch.setattr(k0, "pt_conjugation_certificate", recording)
+    ledger, ranks, unresolved = bracket(objs + objs[:1])  # a repeat registers once
+    assert len(found) == 6  # one search per pair of the four distinct objects
+    certs = [c for c in found if c is not None]
+    assert len(certs) == 3 and all(verify_iso(c) for c in certs)
+    assert ranks == {0: 1, 1: 1, 2: 2, 3: 1}
+    assert ledger.classes() == [[0, 1, 3], [2]]
+    assert unresolved == []
+
+
+def test_bracket_over_a_base_with_relations_neither_searches_nor_ranks(monkeypatch):
+    two = make_variety("TwoPts", ["y"], ["y^2 - y"], QQ)
+    calls = []
+    monkeypatch.setattr(k0, "pt_conjugation_certificate",
+                        lambda *a: calls.append("certificate"))
+    monkeypatch.setattr(k0, "rank", lambda *a: calls.append("rank"))
+    objs = [make_correspondence(two, point(QQ), 1, Matrix(two.gb, [[m]]), [])
+            for m in (two.one(), two.var("y"))]
+    ledger, ranks, unresolved = bracket(objs)
+    assert calls == [] and ranks is None
+    assert ledger.classes() == [[0], [1]]
+    assert unresolved == [(0, 1)]
+
+
+def test_bracket_over_a_line_separates_by_rank():
+    line = make_variety("A1", ["x"], [], QQ)
+    objs = _diagonal_objects(line, point(QQ), ([1], [1, 0], [1, 1], [0, 1, 0]))
+    ledger, ranks, unresolved = bracket(objs)
+    assert ranks == {0: 1, 1: 1, 2: 2, 3: 1}
+    assert ledger.classes() == [[0], [1], [2], [3]]
+    assert unresolved == [(0, 1), (0, 3), (1, 3)]

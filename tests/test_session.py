@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kcorr.cli import main
 from kcorr.errors import (InvalidArity, InvalidObject, KcorrError, ParseError,
@@ -316,3 +317,30 @@ def test_session_reader_errors_exit_2_naming_their_line(statement, error, messag
     assert main(["run", str(path)]) == 2
     stderr = capsys.readouterr().err
     assert stderr.startswith("error: line 8") and f": {message}" in stderr
+
+
+TOUR = (Path(__file__).resolve().parents[1] / "examples" / "tour.kc").read_text(
+    encoding="utf-8")
+# the characters the session grammar gives a meaning to, plus a few it does not
+_SESSION_CHARS = "0123456789xyzt_ .^*/+-()[]{},;=:>#\n\tFpQ%é"
+
+
+@st.composite
+def _mutated_tour(draw):
+    """The tour with up to three spans of at most eight characters replaced."""
+    text = TOUR
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(st.text(_SESSION_CHARS, max_size=8)) + text[j:]
+    return text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=200), _mutated_tour()))
+def test_session_reader_raises_only_input_errors(text):
+    """Whatever the text, the reader either parses it or raises a KcorrError."""
+    try:
+        parse_session(text)
+    except KcorrError:
+        pass
