@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corrcat import CorrObject, _check_object_data, _trusted_object
+from .corrcat import CorrObject, make_correspondence, _trusted_object
 from .errors import AmbientMismatch, ShapeError
 from .exactalg import Matrix
 from .functors import pullback_obj, pushforward_obj
@@ -40,9 +40,7 @@ class BimodulePresentation:
 def make_presentation(X: AffVariety, Y: AffVariety, n: int, proj: Matrix,
                       y_actions) -> BimodulePresentation:
     """Validated presentation; the X-actions are derived, not supplied."""
-    y_actions = tuple(y_actions)
-    _check_object_data(X, Y, n, proj, y_actions)
-    return to_bimodule(CorrObject(X, Y, n, proj, y_actions))
+    return to_bimodule(make_correspondence(X, Y, n, proj, y_actions))
 
 
 def to_bimodule(obj: CorrObject) -> BimodulePresentation:

@@ -211,8 +211,7 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=USAGE)
     parser.add_argument("--debug-validate", action="store_true",
-                        help="re-validate every derived value and cross-check "
-                             "fast paths")
+                        help="re-validate every derived value")
     parser.add_argument("command", choices=("run", "print", *SESSION_COMMANDS),
                         metavar="COMMAND")
     parser.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",

@@ -2,9 +2,8 @@
 
 Release mode validates input data when it is constructed (the ``make_*``
 constructors).  Debug mode additionally re-checks every derived value
-(``corrcat._trusted_*``), the composites of the pairing included, and
-cross-checks fast paths against their defining computations.  The flag is a
-process-wide toggle; all algebra values themselves stay immutable.
+(``corrcat._trusted_*``), the composites of the pairing included.  The flag
+is a process-wide toggle; all algebra values themselves stay immutable.
 """
 
 from contextlib import contextmanager

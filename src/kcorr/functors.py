@@ -1,71 +1,52 @@
 """Functorial calculus on correspondence categories.
 
-Pullback and pushforward along variety morphisms act by graph composition;
-the production code paths are the equivalent entrywise substitutions, and
-debug mode recomputes both and compares.  The box product extends a
-correspondence over (X, X') to one over (X x U, X' x U') along a morphism
-U -> U'.  Trailing torus coordinates in the target can be split off into
-certified commuting automorphisms and merged back - a category isomorphism
-that is exact on data for product-shaped targets.  Every value built here is
-derived, so corrcat's ``_trusted`` constructors check it in debug mode only.
+Pullback and pushforward along a variety morphism are composition with its
+graph: base change along f is ``compose_objects(graph_object(f), obj)`` and
+relabelling the target along g is ``compose_objects(obj, graph_object(g))``.
+The box product extends a correspondence over (X, X') to one over
+(X x U, X' x U') along a morphism U -> U'.  Trailing torus coordinates in the
+target can be split off into certified commuting automorphisms and merged
+back - a category isomorphism that is exact on data for product-shaped
+targets.  Every value built here is derived, so corrcat's ``_trusted``
+constructors check it in debug mode only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import config
-from .corrcat import (CorrMorphism, CorrObject, corner_eval, graph_object,
-                      identity_morphism, _trusted, _trusted_morphism,
-                      _trusted_object)
-from .errors import InternalLawViolation, InvalidArity, InvalidCertificate, ShapeError
+from .corrcat import (CorrMorphism, CorrObject, graph_object, identity_morphism,
+                      _trusted, _trusted_morphism, _trusted_object)
+from .errors import InvalidArity, InvalidCertificate, ShapeError
 from .pairing import compose_objects, compose_morphisms
 from .varieties import (VarMorphism, gm_power, product, split_projections,
                         split_torus)
 
 
-def _graph_cross_check(what: str, result, via_graph):
-    """Debug mode: the fast path must equal its defining graph composition."""
-    if config.debug_enabled() and via_graph() != result:
-        raise InternalLawViolation(f"{what} disagrees with graph composition")
-    return result
-
-
 def pullback_obj(f: VarMorphism, obj: CorrObject) -> CorrObject:
-    """Base change along f: X' -> X; entrywise substitution on all matrices."""
+    """Base change along f: X' -> X, composing with the graph of f."""
     if f.target != obj.X:
         raise ShapeError(f"{f.target.name} is not the base of the object")
-    result = _trusted_object(f.source, obj.Y, obj.n,
-                             f.pull_matrix(obj.p),
-                             tuple(f.pull_matrix(a) for a in obj.gen_images))
-    return _graph_cross_check("pullback fast path", result,
-                              lambda: compose_objects(graph_object(f), obj))
+    return compose_objects(graph_object(f), obj)
 
 
 def pullback_mor(f: VarMorphism, mor: CorrMorphism) -> CorrMorphism:
-    result = _trusted_morphism(pullback_obj(f, mor.src), pullback_obj(f, mor.dst),
-                               f.pull_matrix(mor.mat))
-    return _graph_cross_check(
-        "pullback of morphism", result,
-        lambda: compose_morphisms(mor, identity_morphism(graph_object(f))))
+    if f.target != mor.src.X:
+        raise ShapeError(f"{f.target.name} is not the base of the object")
+    return compose_morphisms(mor, identity_morphism(graph_object(f)))
 
 
 def pushforward_obj(g: VarMorphism, obj: CorrObject) -> CorrObject:
-    """Relabel the target along g: Y -> Y' by evaluating pulled coordinates."""
+    """Relabel the target along g: Y -> Y', composing with the graph of g."""
     if g.source != obj.Y:
         raise ShapeError(f"{g.source.name} is not the target of the object")
-    gens = tuple(corner_eval(obj.p, obj.gen_images, [img.rep for img in g.images]))
-    result = _trusted_object(obj.X, g.target, obj.n, obj.p, gens)
-    return _graph_cross_check("pushforward fast path", result,
-                              lambda: compose_objects(obj, graph_object(g)))
+    return compose_objects(obj, graph_object(g))
 
 
 def pushforward_mor(g: VarMorphism, mor: CorrMorphism) -> CorrMorphism:
-    result = _trusted_morphism(pushforward_obj(g, mor.src),
-                               pushforward_obj(g, mor.dst), mor.mat)
-    return _graph_cross_check(
-        "pushforward of morphism", result,
-        lambda: compose_morphisms(identity_morphism(graph_object(g)), mor))
+    if g.source != mor.src.Y:
+        raise ShapeError(f"{g.source.name} is not the target of the object")
+    return compose_morphisms(identity_morphism(graph_object(g)), mor)
 
 
 # -- box product ----------------------------------------------------------

@@ -219,11 +219,11 @@ def test_chained_restriction_pulls_back_once(pool, monkeypatch):
 
 
 def test_corrupted_restriction_is_an_internal_violation(pool, monkeypatch):
-    from test_functors import _corrupt_pullbacks
+    from test_functors import _corrupt_flattening
     pt, line, two, gm = pool
     obj = random_object(line, two, seed=10, bounds=BOUNDS)
     assert not obj.p.is_zero()
-    _corrupt_pullbacks(monkeypatch)
+    _corrupt_flattening(monkeypatch)
     with debug_validation():
         with pytest.raises(InternalLawViolation, match="derived CorrObject"):
             restrict_base(big_pullback(make_morphism(pt, line, ["2"]), big_lift(obj)))

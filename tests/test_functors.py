@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import term_by_term_corner_eval
 from kcorr.config import debug_validation
-from kcorr.corrcat import (graph_object, identity_object, make_correspondence,
-                           make_corr_morphism)
+from kcorr.corrcat import (CorrObject, graph_object, identity_object,
+                           make_correspondence, make_corr_morphism, zero_object)
 from kcorr.errors import (InternalLawViolation, InvalidArity, InvalidCertificate,
                           ShapeError)
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ
@@ -15,6 +16,7 @@ from kcorr.functors import (aut_morphism_from_torus, box_mor, box_product,
                             pushforward_mor, pushforward_obj,
                             to_automorphism_object, to_torus_object,
                             torus_morphism_from_aut)
+from kcorr import pairing
 from kcorr.pairing import compose_morphisms, compose_objects
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
                              random_morphism_from, random_object, sample_map)
@@ -86,6 +88,48 @@ def test_pull_push_commute_randomized(pool):
         mor = random_morphism_from(obj, rng, BOUNDS)
         assert pushforward_mor(g, pullback_mor(f, mor)).mat == \
             pullback_mor(f, pushforward_mor(g, mor)).mat
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), QQ], ids=["F5", "Q"])
+def test_graph_composition_matches_entrywise_oracles(field):
+    """Pullback is entrywise substitution and pushforward is evaluation of
+    the target coordinates, on every pair of base and target in the pool."""
+    varieties = (point(field), make_variety("A1", ["x"], [], field),
+                 make_variety("TwoPts", ["y"], ["y^2 - y"], field),
+                 gm_power(1, field))
+    rng = random.Random(derive_seed("entrywise-oracle", field.name))
+    for x in varieties:
+        for y in varieties:
+            objs = [random_object(x, y, rng=rng, bounds=BOUNDS) for _ in range(3)]
+            for obj in (*objs, zero_object(x, y)):
+                f = sample_map(rng.choice(varieties), x, rng, max_deg=1)
+                g = sample_map(y, rng.choice(varieties), rng, max_deg=1)
+                mor = random_morphism_from(obj, rng, BOUNDS)
+                assert pullback_obj(f, obj) == CorrObject(
+                    f.source, obj.Y, obj.n, f.pull_matrix(obj.p),
+                    tuple(f.pull_matrix(a) for a in obj.gen_images))
+                assert pushforward_obj(g, obj) == CorrObject(
+                    obj.X, g.target, obj.n, obj.p,
+                    tuple(term_by_term_corner_eval(obj.p, obj.gen_images, img.rep)
+                          for img in g.images))
+                assert pullback_mor(f, mor).mat == f.pull_matrix(mor.mat)
+                assert pushforward_mor(g, mor).mat == mor.mat
+
+
+@pytest.mark.parametrize("functor, message", [
+    (pullback_obj, "A1 is not the base of the object"),
+    (pullback_mor, "A1 is not the base of the object"),
+    (pushforward_obj, "A1 is not the target of the object"),
+    (pushforward_mor, "A1 is not the target of the object"),
+], ids=["pullback_obj", "pullback_mor", "pushforward_obj", "pushforward_mor"])
+def test_functor_shape_checks_precede_the_pairing(pool, functor, message):
+    pt, line, two, gm = pool
+    obj = random_object(two, two, seed=12, bounds=BOUNDS)
+    mor = random_morphism_from(obj, random.Random(12), BOUNDS)
+    arg = obj if functor in (pullback_obj, pushforward_obj) else mor
+    with pytest.raises(ShapeError) as info:
+        functor(make_morphism(line, line, ["x"]), arg)
+    assert type(info.value) is ShapeError and info.value.detail == message
 
 
 def test_box_with_point_identity_is_prefix_rename(pool):
@@ -236,12 +280,24 @@ def _corrupt_pullbacks(monkeypatch):
                         lambda self, mat: true_pull(self, mat) + true_pull(self, mat))
 
 
+def _corrupt_flattening(monkeypatch):
+    """Make every flattened block matrix of the pairing twice the true one."""
+    true_flatten = pairing.flatten_blocks
+
+    def doubled(blocks, basis=None):
+        mat = true_flatten(blocks, basis)
+        return mat + mat
+
+    monkeypatch.setattr(pairing, "flatten_blocks", doubled)
+
+
 def test_corrupted_pullback_is_an_internal_violation(pool, monkeypatch):
     pt, line, *_ = pool
     phi = graph_object(make_morphism(line, line, ["x^2"]))
     ev1 = make_morphism(pt, line, ["1"])
-    _corrupt_pullbacks(monkeypatch)
-    assert pullback_obj(ev1, phi).p != phi.p  # release mode trusts the value
+    _corrupt_flattening(monkeypatch)
+    # release mode trusts the value
+    assert pullback_obj(ev1, phi).p != ev1.pull_matrix(phi.p)
     with debug_validation():
         with pytest.raises(InternalLawViolation, match="derived CorrObject"):
             pullback_obj(ev1, phi)
