@@ -114,8 +114,6 @@ def big_lift(obj: CorrObject) -> BigBimodule:
 def restrict_base(big: BigBimodule) -> BimodulePresentation:
     """The presentation at the current base: the root pulled back along the
     composite morphism."""
-    if big.morphism == identity_map(big.root.X):
-        return big.root
     return to_bimodule(pullback_obj(big.morphism, from_bimodule(big.root)))
 
 

@@ -153,18 +153,18 @@ def make_correspondence(X: AffVariety, Y: AffVariety, n: int, p: Matrix,
     return CorrObject(X, Y, n, p, gen_images)
 
 
-def _law_checked(what: str, make, *args):
-    """Build a derived value with a validating constructor; a failure is a bug."""
-    try:
-        return make(*args)
-    except KcorrError as exc:
-        raise InternalLawViolation(f"{what} failed validation: {exc}") from exc
-
-
 def _trusted(make, cls, *args):
-    """A derived value, built by a law-preserving operation; checked in debug mode."""
+    """A derived value, built by a law-preserving operation as ``cls(*args)``.
+
+    In debug mode the validating constructor ``make`` builds it instead, and
+    a validation failure is a bug in the operation: ``InternalLawViolation``.
+    """
     if config.debug_enabled():
-        return _law_checked(f"derived {cls.__name__}", make, *args)
+        try:
+            return make(*args)
+        except KcorrError as exc:
+            raise InternalLawViolation(
+                f"derived {cls.__name__} failed validation: {exc}") from exc
     return cls(*args)
 
 

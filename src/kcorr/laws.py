@@ -34,15 +34,6 @@ LAW_BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.05)
 
 
 @dataclass
-class LawCheckFailure:
-    """One failed check of a case, as ``Ctx.check`` records it."""
-
-    check: str
-    message: str
-    inputs: dict
-
-
-@dataclass
 class LawFailure:
     law: str
     check: str
@@ -143,13 +134,17 @@ def serialize_case(inputs: dict, field) -> str:
 
 
 class Ctx:
-    """Per-(law, field) context: variety pool, seeded sampling helpers and
-    the failed checks of the current case."""
+    """Per-(law, field) context: variety pool, seeded sampling helpers, the
+    index of the current case and the failures of the law over this field,
+    each recorded complete where its check fails."""
 
-    def __init__(self, field: Field):
+    def __init__(self, law: str, field: Field, seed: int):
+        self.law = law
         self.field = field
+        self.seed = seed
+        self.case = 0
         self.bounds = LAW_BOUNDS
-        self.failed = []
+        self.failures = []
         self.pt = point(field)
         self.line = make_variety("A1", ["x"], [], field)
         self.twopts = make_variety("TwoPts", ["y"], ["y^2 - y"], field)
@@ -174,15 +169,20 @@ class Ctx:
         dst = dst if dst is not None else self.rand_variety(rng)
         return sample_map(src, dst, rng, self.bounds.max_deg)
 
+    def fail(self, check: str, message: str, inputs: str):
+        self.failures.append(LawFailure(self.law, check, self.field.name,
+                                        self.case, self.seed, message, inputs))
+
     def check(self, name: str, thunk, **inputs):
-        """Run one check; a failure is recorded and the case goes on."""
+        """Run one check; a failure is recorded with its inputs serialized,
+        and the case goes on."""
         try:
-            ok = thunk()
+            if thunk() is not False:
+                return
+            message = "exact identity failed"
         except Exception as exc:  # exact laws: any blowup is a finding
-            self.failed.append(LawCheckFailure(name, f"{type(exc).__name__}: {exc}", inputs))
-            return
-        if ok is False:
-            self.failed.append(LawCheckFailure(name, "exact identity failed", inputs))
+            message = f"{type(exc).__name__}: {exc}"
+        self.fail(name, message, serialize_case(inputs, self.field))
 
 
 # -- the fourteen families ----------------------------------------------------
@@ -272,12 +272,9 @@ def _rand_triple(ctx, rng):
 def law_pairing_associativity(ctx: Ctx, rng: random.Random):
     phi1, phi2, phi3 = _rand_triple(ctx, rng)
 
-    def assoc():
-        left = pairing.compose_objects(pairing.compose_objects(phi1, phi2), phi3)
-        right = pairing.compose_objects(phi1, pairing.compose_objects(phi2, phi3))
-        return left == right and left.p == right.p
-
-    ctx.check("object-associativity", assoc, phi1=phi1, phi2=phi2, phi3=phi3)
+    ctx.check("object-associativity",
+              lambda: pairing.strict_associativity_check(phi1, phi2, phi3),
+              phi1=phi1, phi2=phi2, phi3=phi3)
 
 
 def law_pairing_square(ctx: Ctx, rng: random.Random):
@@ -511,25 +508,13 @@ def law_suite(seed: int, cases: int, fields=None, laws=None) -> LawReport:
     start = time.perf_counter()
     for law_name, law_fn in selected:
         for field in fields:
-            ctx = Ctx(field)
-            failures = []
-            for index in range(cases):
-                rng = random.Random(derive_seed(seed, law_name, field.name, index))
-                ctx.failed = []
-                setup_error = None
+            ctx = Ctx(law_name, field, seed)
+            for ctx.case in range(cases):
+                rng = random.Random(derive_seed(seed, law_name, field.name, ctx.case))
                 try:
                     law_fn(ctx, rng)
                 except Exception as exc:  # a generator blowup is also a finding
-                    setup_error = f"{type(exc).__name__}: {exc}"
-                for fail in ctx.failed:
-                    failures.append(LawFailure(
-                        law=law_name, check=fail.check, field=field.name,
-                        case_index=index, seed=seed, message=fail.message,
-                        inputs=serialize_case(fail.inputs, field)))
-                if setup_error is not None:
-                    failures.append(LawFailure(
-                        law=law_name, check="case-setup", field=field.name,
-                        case_index=index, seed=seed, message=setup_error, inputs=""))
-            report.results.append(LawResult(law_name, field.name, cases, failures))
+                    ctx.fail("case-setup", f"{type(exc).__name__}: {exc}", "")
+            report.results.append(LawResult(law_name, field.name, cases, ctx.failures))
     report.wall_time = time.perf_counter() - start
     return report

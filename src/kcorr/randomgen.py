@@ -191,9 +191,7 @@ def random_object(x: AffVariety, y: AffVariety, seed=None,
     else:
         p, gen_mats = _corner_polynomial_model(x, y, n, rank, rng, bounds)
     u, u_inv = random_conjugator(x, n, rng, bounds)
-    p = u * p * u_inv
-    gen_mats = [u * a * u_inv for a in gen_mats]
-    return make_correspondence(x, y, n, p, gen_mats)
+    return conjugate_object(CorrObject(x, y, n, p, tuple(gen_mats)), u, u_inv)
 
 
 def conjugate_object(obj: CorrObject, u: Matrix, u_inv: Matrix) -> CorrObject:
@@ -258,9 +256,7 @@ def random_aut_object(x: AffVariety, y: AffVariety, arity: int,
                               + [zero] * (n - rank))
         theta_diags.append((fwd, bwd))
     u, u_inv = random_conjugator(x, n, rng, bounds)
-    p = u * p * u_inv
-    gen_mats = [u * a * u_inv for a in gen_mats]
-    base = make_correspondence(x, y, n, p, gen_mats)
+    base = conjugate_object(CorrObject(x, y, n, p, tuple(gen_mats)), u, u_inv)
     thetas = [(make_corr_morphism(base, base, u * fwd * u_inv),
                make_corr_morphism(base, base, u * bwd * u_inv))
               for fwd, bwd in theta_diags]

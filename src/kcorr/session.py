@@ -4,8 +4,10 @@ A session declares a field, varieties, variety maps, correspondences,
 morphisms and automorphism tuples, then lists commands.  Declarations are
 validated in file order, so every reference must point backwards.  Printing
 is canonical (normal-form entries, fixed layout) and ``parse(print(s))``
-reproduces the session exactly.  ``Session.declare`` adds values built in
-code, so CLI results and law-failure inputs print as sessions too.
+reproduces the session exactly.  A morphism or aut declaration keeps the
+names it refers to (``Session.refs``), and printing writes those names back,
+never the name of an earlier equal value.  ``Session.declare`` adds values
+built in code, so CLI results and law-failure inputs print as sessions too.
 
 The reader is the only code here that knows source lines.  Text helpers and
 declaration handlers raise errors with a column at most, counted along the
@@ -40,7 +42,8 @@ class Session:
     corrs: dict = dc_field(default_factory=dict)
     morphisms: dict = dc_field(default_factory=dict)
     auts: dict = dc_field(default_factory=dict)
-    aut_specs: dict = dc_field(default_factory=dict)
+    # names a declaration refers to: (src, dst) or (base, thetas, inverses)
+    refs: dict = dc_field(default_factory=dict)
     decls: list = dc_field(default_factory=list)  # (kind, name) in file order
     commands: list = dc_field(default_factory=list)
     # (line number, source text) of each command, for error messages; not
@@ -50,20 +53,24 @@ class Session:
     def is_declared(self, name: str) -> bool:
         return any(name in getattr(self, table) for table in _TABLES.values())
 
-    def register(self, kind: str, name: str, value):
-        """Store a declared value in its table and record it in file order."""
+    def register(self, kind: str, name: str, value, refs=()):
+        """Store a declared value in its table and record it in file order,
+        with the names it refers to, if any."""
         if self.is_declared(name):
             raise ResolveError(f"name {name!r} is already declared")
         getattr(self, _TABLES[kind])[name] = value
         self.decls.append((kind, name))
+        if refs:
+            self.refs[name] = refs
 
     def declare(self, name: str, value):
         """Declare a built value under ``name``, after what it refers to.
 
         A variety is declared under its own name, once.  A morphism ``m``
         declares its endpoints as ``m_src`` and ``m_dst``.  An ``AutObject``
-        under prefix ``P`` declares ``P_base``, then ``P_t{i}`` and ``P_s{i}``,
-        then the aut ``P_aut``.
+        under prefix ``P`` declares ``P_base``, then ``P_t{i}`` and ``P_s{i}``
+        (each from ``P_base`` to ``P_base``), then the aut ``P_aut``.  Each
+        declaration refers to these names, never to an earlier equal value.
         """
         if isinstance(value, AffVariety):
             known = self.varieties.get(value.name)
@@ -82,7 +89,7 @@ class Session:
         elif isinstance(value, CorrMorphism):
             self.declare(f"{name}_src", value.src)
             self.declare(f"{name}_dst", value.dst)
-            self.register("morphism", name, value)
+            self.register("morphism", name, value, (f"{name}_src", f"{name}_dst"))
         elif isinstance(value, AutObject):
             base = f"{name}_base"
             self.declare(base, value.base)
@@ -90,10 +97,10 @@ class Session:
             for i, (fwd, bwd) in enumerate(value.thetas, start=1):
                 thetas.append(f"{name}_t{i}")
                 invs.append(f"{name}_s{i}")
-                self.register("morphism", thetas[-1], fwd)
-                self.register("morphism", invs[-1], bwd)
-            self.register("aut", f"{name}_aut", value)
-            self.aut_specs[f"{name}_aut"] = (base, tuple(thetas), tuple(invs))
+                self.register("morphism", thetas[-1], fwd, (base, base))
+                self.register("morphism", invs[-1], bwd, (base, base))
+            self.register("aut", f"{name}_aut", value,
+                          (base, tuple(thetas), tuple(invs)))
         else:
             raise TypeError(f"cannot declare a {type(value).__name__}")
 
@@ -183,17 +190,19 @@ def _expect_unique(session: Session, name: str):
 
 def _resolve_arrow(session: Session, header: str, kind: str, ends: str):
     """Resolve a ``NAME : SRC -> DST`` header: NAME must be new, and SRC and
-    DST name declared values of kind ``ends``."""
+    DST name declared values of kind ``ends``; returns NAME, (SRC, DST) and
+    the two values."""
     name, _, arrow = header.partition(":")
     if "->" not in arrow:
         raise ParseError("expected NAME : SRC -> DST", column=1)
     name = name.strip()
     _expect_unique(session, name)
     table = getattr(session, _TABLES[ends])
-    src, dst = (table.get(end.strip()) for end in arrow.split("->", 1))
+    end_names = tuple(end.strip() for end in arrow.split("->", 1))
+    src, dst = map(table.get, end_names)
     if src is None or dst is None:
         raise ResolveError(f"{kind} {name!r} references undeclared {ends}")
-    return name, src, dst
+    return name, end_names, src, dst
 
 
 def _declare_variety(session, header, body, col):
@@ -211,7 +220,7 @@ def _declare_variety(session, header, body, col):
 
 
 def _declare_map(session, header, body, col):
-    name, src, dst = _resolve_arrow(session, header, "map", "variety")
+    name, _, src, dst = _resolve_arrow(session, header, "map", "variety")
     assignments = dict(_parse_body(body, col))
     images = []
     for v in dst.vars:
@@ -226,7 +235,7 @@ def _declare_map(session, header, body, col):
 
 
 def _declare_corr(session, header, body, col):
-    name, x, y = _resolve_arrow(session, header, "corr", "variety")
+    name, _, x, y = _resolve_arrow(session, header, "corr", "variety")
     n = None
     unit = None
     gens = {}
@@ -258,7 +267,7 @@ def _declare_corr(session, header, body, col):
 
 
 def _declare_morphism(session, header, body, col):
-    name, src, dst = _resolve_arrow(session, header, "morphism", "corr")
+    name, ends, src, dst = _resolve_arrow(session, header, "morphism", "corr")
     fields = dict(_parse_body(body, col))
     if set(fields) != {"matrix"}:
         raise ParseError(f"morphism block takes exactly matrix, got {sorted(fields)}",
@@ -266,7 +275,7 @@ def _declare_morphism(session, header, body, col):
     mat = _parse_matrix(fields["matrix"], src.X)
     if mat.nrows == 0 and mat.ncols == 0 and (dst.n == 0 or src.n == 0):
         mat = Matrix.zeros(src.X.gb, dst.n, src.n)
-    session.register("morphism", name, make_corr_morphism(src, dst, mat))
+    session.register("morphism", name, make_corr_morphism(src, dst, mat), ends)
 
 
 def _declare_aut(session, header, body, col):
@@ -290,8 +299,8 @@ def _declare_aut(session, header, body, col):
         if fwd is None or bwd is None:
             raise ResolveError(f"aut {name!r} references undeclared morphism")
         pairs.append((fwd, bwd))
-    session.register("aut", name, make_aut_object(base, pairs))
-    session.aut_specs[name] = (base_name, tuple(theta_names), tuple(inv_names))
+    session.register("aut", name, make_aut_object(base, pairs),
+                     (base_name, tuple(theta_names), tuple(inv_names)))
 
 
 _DECL_HANDLERS = {
@@ -416,9 +425,6 @@ def format_morphism_block(name: str, mor: CorrMorphism, src_name: str,
 def format_decls(session: Session) -> list:
     """The declaration lines of a session, in declaration order."""
     lines = []
-    corr_names = {}
-    for name, obj in session.corrs.items():
-        corr_names.setdefault(obj, name)
     for kind, name in session.decls:
         if kind == "variety":
             lines.append(format_variety_block(session.varieties[name]))
@@ -427,12 +433,10 @@ def format_decls(session: Session) -> list:
         elif kind == "corr":
             lines.append(format_corr_block(name, session.corrs[name]))
         elif kind == "morphism":
-            mor = session.morphisms[name]
             lines.append(format_morphism_block(
-                name, mor, corr_names.get(mor.src, "?"),
-                corr_names.get(mor.dst, "?")))
+                name, session.morphisms[name], *session.refs[name]))
         elif kind == "aut":
-            base_name, thetas, invs = session.aut_specs[name]
+            base_name, thetas, invs = session.refs[name]
             lines.append(
                 f"aut {name} {{ base = {base_name}; "
                 f"theta = [{', '.join(thetas)}]; "

@@ -218,11 +218,7 @@ class VarMorphism:
 
     def pull_matrix(self, mat: Matrix) -> Matrix:
         """Entrywise pullback of a matrix over k[target] to k[source]."""
-        basis = self.source.gb
-        image_map = self.image_map()
-        ambient = self.source.ambient
-        return mat.map_entries(
-            lambda e: QElem(basis, e.rep.substitute(image_map, ambient)), basis)
+        return mat.map_entries(self.pull, self.source.gb)
 
     def __repr__(self):
         imgs = ", ".join(f"{v}->{img}" for v, img in zip(self.target.vars, self.images))

@@ -11,6 +11,7 @@ from kcorr.corrcat import (direct_sum, eval_nonunital, make_corr_morphism,
 from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
                           ShapeError)
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ
+from kcorr.laws import Ctx
 from kcorr.randomgen import (GenBounds, derive_seed, random_morphism_from,
                              random_object, random_endo_matrix, sample_map)
 from kcorr.varieties import (compose_maps, gm_power, identity_map,
@@ -121,6 +122,16 @@ def test_presentation_shape_errors(pool):
         bimodule_hom_valid(a, b2, a.proj)
     with pytest.raises(ShapeError):
         bimodule_hom_valid(a, a, Matrix.identity(line.gb, a.n + 1))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_restricting_a_lift_pulls_back_along_the_identity(field):
+    ctx = Ctx("restrict-lift", field, 0)
+    rng = random.Random(derive_seed("restrict-lift", field.name))
+    for x in ctx.pool:
+        for y in ctx.pool:
+            obj = ctx.rand_obj(rng, x, y)
+            assert restrict_base(big_lift(obj)) == to_bimodule(obj)
 
 
 def test_big_lift_and_identity_cache(pool):

@@ -144,7 +144,7 @@ def test_map_and_aut_inputs_round_trip_through_serialize_case(field):
     s = parse_session(serialize_case({"f": f, "aut": aut}, field))
     assert s.maps["f"] == f
     assert s.auts["aut_aut"] == aut
-    assert s.aut_specs["aut_aut"] == ("aut_base", ("aut_t1", "aut_t2"),
+    assert s.refs["aut_aut"] == ("aut_base", ("aut_t1", "aut_t2"),
                                       ("aut_s1", "aut_s2"))
     assert [k for k, _ in s.decls] == ["variety", "variety", "map", "variety",
                                        "corr", "morphism", "morphism",
@@ -167,8 +167,21 @@ def test_declared_random_values_round_trip(field, seed):
                                              bounds=SMALL))
     assert set(s.varieties) <= {v.name for v in pool}
     printed = print_session(s)
+    heads = [line.split(" {")[0] for line in printed.splitlines()
+             if line.startswith("morphism M")]
+    assert heads == [f"morphism M{i} : M{i}_src -> M{i}_dst" for i in range(4)]
     assert parse_session(printed) == s
     assert print_session(parse_session(printed)) == printed
+
+
+def test_print_keeps_the_names_a_declaration_refers_to(capsys):
+    # A and B hold equal data; E, T and S are declared on B, F from A to B
+    path = Path(__file__).resolve().parent / "data" / "equal_corrs.kc"
+    assert main(["print", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert "morphism E : B -> B {" in printed
+    assert printed == "".join(line + "\n" for line in path.read_text().splitlines()
+                              if not line.startswith("#"))
 
 
 def test_declare_rejects_two_varieties_with_one_name():
