@@ -23,7 +23,8 @@ def flatten_blocks(blocks, basis=None) -> Matrix:
     range, so on square block matrices the map is an algebra isomorphism:
     flatten(B*C) equals flatten(B)*flatten(C).  Rectangular outer shapes are
     allowed so morphism matrices reuse the same layout.  An empty or
-    size-zero result needs ``basis`` to pin the ring.
+    size-zero result needs ``basis`` to pin the ring.  A 1 x 1 outer matrix
+    flattens to its block itself.
     """
     blocks = [list(row) for row in blocks]
     nrows = len(blocks)
@@ -46,6 +47,8 @@ def flatten_blocks(blocks, basis=None) -> Matrix:
         raise ShapeError("cannot flatten an empty block matrix without a ring")
     if inner is None:
         inner = 0
+    if nrows == ncols == 1:
+        return blocks[0][0]
     z = QElem.zero(basis)
     out = [[z] * (ncols * inner) for _ in range(nrows * inner)]
     for a in range(nrows):

@@ -7,6 +7,14 @@ points of the target variety with coordinates in the base ring, which makes
 every target relation hold slotwise by construction.  Where the target has
 no relations the generator instead uses free polynomials in a single corner
 element, which gives denser, less structured instances.
+
+Points of a target with relations come from rejection sampling: each
+candidate is a tuple of random polynomials, first evaluated at up to three
+scalar points of the source in field arithmetic and skipped when a relation
+is nonzero there, and only then reduced into k[x] for the exact check
+(``broken_relation``).  The pre-check rejects only candidates the exact check
+would reject and draws nothing, so the random stream is the same with or
+without it.
 """
 
 from __future__ import annotations
@@ -15,15 +23,14 @@ import functools
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 
 from .corrcat import (CorrMorphism, CorrObject, make_corr_morphism,
                       make_correspondence, zero_object)
 from .errors import GenerationFailed
 from .exactalg import Matrix, Poly, QElem
 from .functors import AutObject, make_aut_object
-from .varieties import (AffVariety, VarMorphism, broken_relation, make_morphism,
-                         point)
+from .varieties import AffVariety, VarMorphism, broken_relation, make_morphism
 
 
 def derive_seed(*parts) -> int:
@@ -56,7 +63,7 @@ def random_poly(x: AffVariety, rng: random.Random, max_deg: int = 2,
                 max_terms: int = 2) -> Poly:
     ambient = x.ambient
     field = x.field
-    poly = Poly.zero(ambient)
+    terms: dict = {}
     width = len(ambient.vars)
     for _ in range(rng.randint(1, max_terms)):
         coeff = random_scalar(field, rng)
@@ -65,19 +72,56 @@ def random_poly(x: AffVariety, rng: random.Random, max_deg: int = 2,
             mono[rng.randrange(width)] += 1
         if sum(mono) > max_deg:
             mono = [0] * width
-        poly = poly + Poly(ambient, {tuple(mono): coeff} if coeff else {})
-    return poly
+        if coeff:
+            mono = tuple(mono)
+            total = field.add(terms.get(mono, field.zero), coeff)
+            if total:
+                terms[mono] = total
+            else:
+                del terms[mono]
+    return Poly(ambient, terms)
 
 
 # -- points of a variety with coordinates in another coordinate ring ---------
 
+def _value_at(poly: Poly, coords):
+    """``poly`` evaluated at the scalar point ``coords``, in field arithmetic."""
+    field = poly.ambient.field
+    total = field.zero
+    for mono, coeff in poly.terms.items():
+        for c, e in zip(coords, mono):
+            if e:
+                coeff = field.mul(coeff, c ** e)
+        total = field.add(total, coeff)
+    return total
+
+
+def _is_point(y: AffVariety, coords) -> bool:
+    """Whether the scalars ``coords`` satisfy every relation of ``y``."""
+    return not any(_value_at(rel, coords) for rel in y.ideal_gens)
+
+
 @functools.cache
 def _scalar_points(y: AffVariety):
-    """All target points with coordinates in the small scalar sample pool."""
-    pt = point(y.field)
+    """All k-points of ``y`` with coordinates in the small scalar sample pool."""
     combos = iter_product(y.field.elements_sample(), repeat=len(y.vars))
-    return [combo for combo in combos
-            if broken_relation(pt, y, [QElem.const(pt.gb, c) for c in combo]) is None]
+    return [combo for combo in combos if _is_point(y, combo)]
+
+
+def _test_points(x: AffVariety):
+    """The first three k-points of ``x`` in ``_scalar_points`` order.
+
+    Without relations they are the first three tuples of scalars, so a free
+    source (cyclic-4 over Q has 4,096 pool points) is never enumerated."""
+    if x.ideal_gens:
+        return _scalar_points(x)[:3]
+    return list(islice(iter_product(x.field.elements_sample(), repeat=len(x.vars)), 3))
+
+
+def _breaks_at(y: AffVariety, polys, coords) -> bool:
+    """Whether the candidate ``polys`` break a relation of ``y`` at the
+    k-point ``coords`` of their source."""
+    return not _is_point(y, [_value_at(f, coords) for f in polys])
 
 
 def sample_point(x: AffVariety, y: AffVariety, rng: random.Random,
@@ -87,8 +131,14 @@ def sample_point(x: AffVariety, y: AffVariety, rng: random.Random,
         return ()
     if not y.ideal_gens:
         return tuple(x.qelem(random_poly(x, rng, max_deg)) for _ in y.vars)
+    # evaluation at a k-point of x is a ring map k[x] -> k, so a candidate
+    # that breaks a relation of y there breaks it in k[x] too
+    points = _test_points(x)
     for _ in range(budget):
-        candidate = tuple(x.qelem(random_poly(x, rng, max_deg)) for _ in y.vars)
+        polys = [random_poly(x, rng, max_deg) for _ in y.vars]
+        if any(_breaks_at(y, polys, coords) for coords in points):
+            continue
+        candidate = tuple(x.qelem(f) for f in polys)
         if broken_relation(x, y, candidate) is None:
             return candidate
     scalars = _scalar_points(y)

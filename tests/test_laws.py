@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,45 @@ def test_law_suite_computes_bases_only_when_read(monkeypatch):
     # 1,132 runs from a fresh interpreter; 2,876 when every product and torus
     # computed its basis as it was built
     assert len(calls) <= 1200
+
+
+def test_law_suite_checks_few_candidates_exactly(monkeypatch):
+    from kcorr import randomgen
+    calls = []
+    true_check = randomgen.broken_relation
+    monkeypatch.setattr(randomgen, "broken_relation",
+                        lambda *args: calls.append(args) or true_check(*args))
+    assert law_suite(seed=42, cases=50).ok
+    # 1,154 from a fresh interpreter; 12,114 when every candidate point
+    # reached the exact check, before the pointwise pre-check
+    assert len(calls) <= 1200
+
+
+def test_seed_7_report_and_draws_match_golden(monkeypatch):
+    # a passing report does not show the draws, so every random polynomial
+    # and sampled point is pinned too
+    from kcorr import randomgen
+    draws = []
+    true_poly, true_point = randomgen.random_poly, randomgen.sample_point
+
+    def poly(*args, **kwargs):
+        f = true_poly(*args, **kwargs)
+        draws.append(f"poly {f}")
+        return f
+
+    def sample(x, y, *args, **kwargs):
+        coords = true_point(x, y, *args, **kwargs)
+        draws.append(f"point {x.name}->{y.name} " + ", ".join(map(str, coords)))
+        return coords
+
+    monkeypatch.setattr(randomgen, "random_poly", poly)
+    monkeypatch.setattr(randomgen, "sample_point", sample)
+    report = law_suite(seed=7, cases=3).to_text()
+    data = Path(__file__).parent / "data"
+    assert "".join(line for line in report.splitlines(True)
+                   if not line.startswith("wall-time:")) == \
+        (data / "laws_seed7.txt").read_text()
+    assert "\n".join(draws) + "\n" == (data / "laws_seed7_draws.txt").read_text()
 
 
 def test_report_is_deterministic_modulo_wall_time():

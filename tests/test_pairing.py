@@ -83,6 +83,17 @@ def test_flatten_rejects_ragged(pools):
                         [Matrix.identity(b, 1), Matrix.identity(b, 1)]])
 
 
+def test_one_by_one_flattening_is_its_block_after_the_checks(pools):
+    b = pools[QQ][0].gb
+    blk = _scalar_matrix(b, [[1, 2], [3, 4]])
+    assert flatten_blocks([[blk]]) is blk
+    assert flatten_blocks([[blk]], basis=b) is blk
+    with pytest.raises(ShapeError, match="square"):
+        flatten_blocks([[_scalar_matrix(b, [[1, 2]])]])
+    with pytest.raises(AmbientMismatch, match="different rings"):
+        flatten_blocks([[blk]], basis=pools[QQ][1].gb)
+
+
 def test_unit_laws_exact(pools):
     for field, (pt, line, two, gm) in pools.items():
         rng = random.Random(derive_seed("units", field.name))

@@ -6,10 +6,11 @@ from kcorr.corrcat import make_correspondence
 from kcorr.errors import GenerationFailed
 from kcorr.exactalg import PrimeField, QQ
 from kcorr.k0 import rank
-from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
-                             random_morphism_from, random_object, sample_map,
+from kcorr.randomgen import (GenBounds, _breaks_at, _scalar_points, _test_points,
+                             derive_seed, random_aut_object, random_morphism_from,
+                             random_object, random_poly, sample_map,
                              sample_point)
-from kcorr.varieties import gm_power, make_variety, point
+from kcorr.varieties import broken_relation, gm_power, make_variety, point
 
 
 def test_derive_seed_is_stable():
@@ -100,3 +101,34 @@ def test_sample_map_deterministic():
     m1 = sample_map(line, two, random.Random(9))
     m2 = sample_map(line, two, random.Random(9))
     assert m1 == m2
+
+
+def test_point_filter_never_rejects_an_accepted_candidate():
+    # candidates are raw random polynomials, the representatives of sampled
+    # points, and those plus multiples of the source's relations (equal in
+    # k[x], different as polynomials)
+    rejected = 0
+    for field in (PrimeField(5), PrimeField(11), QQ):
+        pool = (point(field), make_variety("A1", ["x"], [], field),
+                gm_power(1, field), make_variety("TwoPts", ["y"], ["y^2 - y"], field))
+        rng = random.Random(derive_seed("point filter", field.name))
+        for x in pool:
+            points = _test_points(x)
+            assert points == _scalar_points(x)[:3]
+            for y in pool:
+                accepted = 0
+                for i in range(30):
+                    if i % 3 == 0:
+                        polys = [random_poly(x, rng) for _ in y.vars]
+                    else:
+                        polys = [c.rep for c in sample_point(x, y, rng)]
+                    if i % 3 == 2 and x.ideal_gens:
+                        rel = x.ideal_gens[0]
+                        polys = [f + rel * random_poly(x, rng) for f in polys]
+                    exact = broken_relation(x, y, [x.qelem(f) for f in polys]) is None
+                    filtered = any(_breaks_at(y, polys, c) for c in points)
+                    assert not (exact and filtered), (x.name, y.name, polys)
+                    accepted += exact
+                    rejected += filtered
+                assert accepted >= 20
+    assert rejected
