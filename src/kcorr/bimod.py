@@ -14,6 +14,7 @@ functor layer does the transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .corrcat import CorrObject, make_correspondence, _trusted_object
 from .errors import AmbientMismatch, ShapeError
@@ -30,8 +31,12 @@ class BimodulePresentation:
     Y: AffVariety
     n: int
     proj: Matrix
-    x_actions: tuple  # one matrix per X-coordinate, the scalar action x*proj
     y_actions: tuple  # one matrix per Y-coordinate
+
+    @cached_property
+    def x_actions(self) -> tuple:
+        """One matrix per X-coordinate, the scalar action x*proj."""
+        return tuple(self.proj.scale_elem(self.X.var(v)) for v in self.X.vars)
 
     def __repr__(self):
         return f"BimodulePresentation({self.X.name} x {self.Y.name}, n={self.n})"
@@ -45,9 +50,7 @@ def make_presentation(X: AffVariety, Y: AffVariety, n: int, proj: Matrix,
 
 def to_bimodule(obj: CorrObject) -> BimodulePresentation:
     """Repackage a (valid) correspondence as its bimodule presentation."""
-    x_actions = tuple(obj.p.scale_elem(obj.X.var(v)) for v in obj.X.vars)
-    return BimodulePresentation(obj.X, obj.Y, obj.n, obj.p, x_actions,
-                                obj.gen_images)
+    return BimodulePresentation(obj.X, obj.Y, obj.n, obj.p, obj.gen_images)
 
 
 def from_bimodule(pres: BimodulePresentation) -> CorrObject:

@@ -15,7 +15,7 @@ import sys
 
 from . import bimod, config, functors, k0 as k0mod, pairing
 from .corrcat import make_corr_morphism
-from .errors import KcorrError, ResolveError
+from .errors import KcorrError, ParseError, ResolveError
 from .exactalg import parse_field
 from .laws import LAW_NAMES, law_suite
 from .session import (Session, format_decls, parse_session, print_session,
@@ -27,8 +27,15 @@ EXIT_INPUT_ERROR = 2
 
 
 def _load_session(path: str) -> Session:
-    with open(path, encoding="utf-8") as handle:
-        return parse_session(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the sentinel stands for the undecodable byte, so its line counts too
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text", line) from None
+    return parse_session(text)
 
 
 def _get(session: Session, name: str, kind: str):

@@ -9,6 +9,7 @@ singleton), so fields compare and hash by identity.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from ..errors import InvalidField
@@ -49,38 +50,11 @@ class Field:
     def __repr__(self):
         return self.name
 
-    # scalar helpers ---------------------------------------------------
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def from_fraction(self, num: int, den: int):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def format(self, a) -> str:
         return str(a)
-
-    def elements_sample(self):
-        """Small deterministic pool of scalars used by randomized generators."""
-        raise NotImplementedError
 
 
 class RationalField(Field):
@@ -103,17 +77,10 @@ class RationalField(Field):
             raise InvalidField("zero denominator in rational literal")
         return Fraction(num, den)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def inv(self, a):
         if not a:

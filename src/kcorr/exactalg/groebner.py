@@ -91,8 +91,6 @@ class GroebnerBasis:
     def normal_form(self, f: Poly) -> Poly:
         if f.ambient != self.ambient:
             raise AmbientMismatch(f"{f.ambient!r} vs basis over {self.ambient!r}")
-        if not self.gens or f.is_zero():
-            return f
         return reduce_poly(f, self.gens)
 
     def __eq__(self, other):

@@ -46,10 +46,7 @@ class Matrix:
 
     @staticmethod
     def identity(basis: GroebnerBasis, n: int) -> "Matrix":
-        z = QElem.zero(basis)
-        o = QElem.one(basis)
-        return Matrix(basis, [[o if i == j else z for j in range(n)]
-                              for i in range(n)], n, n)
+        return Matrix.diagonal(basis, [QElem.one(basis)] * n)
 
     @staticmethod
     def diagonal(basis: GroebnerBasis, entries) -> "Matrix":

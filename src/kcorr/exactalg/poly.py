@@ -15,7 +15,6 @@ from .fields import Field
 
 LEX = "lex"
 DEGREVLEX = "degrevlex"
-ORDERS = (LEX, DEGREVLEX)
 
 
 def _lex_key(mono):
@@ -26,12 +25,7 @@ def _degrevlex_key(mono):
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
-def order_key(order: str):
-    if order == LEX:
-        return _lex_key
-    if order == DEGREVLEX:
-        return _degrevlex_key
-    raise InvalidArity(f"unknown monomial order {order!r}")
+ORDER_KEYS = {LEX: _lex_key, DEGREVLEX: _degrevlex_key}
 
 
 # -- monomial helpers (exponent tuples) --------------------------------
@@ -66,12 +60,13 @@ class Ambient:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise InvalidArity(f"duplicate variables in {variables}")
-        if order not in ORDERS:
+        key = ORDER_KEYS.get(order)
+        if key is None:
             raise InvalidArity(f"unknown monomial order {order!r}")
         self.vars = variables
         self.field = field
         self.order = order
-        self._key = order_key(order)
+        self._key = key
         self._index = {v: i for i, v in enumerate(variables)}
         self._hash = hash((variables, field, order))
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corrcat import (CorrMorphism, CorrObject, graph_object, identity_morphism,
-                      _trusted, _trusted_morphism, _trusted_object)
+from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, graph_object,
+                      identity_morphism, verify_iso, _trusted, _trusted_morphism,
+                      _trusted_object)
 from .errors import InvalidArity, InvalidCertificate, ShapeError
 from .pairing import compose_objects, compose_morphisms
 from .varieties import (VarMorphism, gm_power, product, split_projections,
@@ -106,7 +107,7 @@ def make_aut_object(base: CorrObject, thetas) -> AutObject:
         for m in (fwd, bwd):
             if m.src != base or m.dst != base:
                 raise InvalidCertificate("automorphism endpoints must be the base object")
-        if fwd.mat * bwd.mat != base.p or bwd.mat * fwd.mat != base.p:
+        if not verify_iso(IsoCertificate(fwd, bwd)):
             raise InvalidCertificate("automorphism witness pair is not mutually inverse")
     for i in range(len(thetas)):
         for j in range(i + 1, len(thetas)):

@@ -203,8 +203,8 @@ def bracket(objects) -> tuple[K0Ledger, dict[int, int] | None, list[tuple[int, i
     if ledger.X.is_point() and ledger.Y.is_point():
         for i, j in combinations(ids, 2):
             cert = pt_conjugation_certificate(ledger.object_of(i), ledger.object_of(j))
-            if cert is not None:
-                k0_register(ledger, cert)
+            if cert is not None:  # verified by the search
+                ledger._union(i, j)
     ranks = None if ledger.X.ideal_gens else {i: rank(ledger.object_of(i)) for i in ids}
     unresolved = [(i, j) for i, j in combinations(ids, 2)
                   if ledger.find(i) != ledger.find(j)

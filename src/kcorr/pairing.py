@@ -101,8 +101,6 @@ def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> Corr
     copies of the inner matrix.  Over a point base this is exactly the
     Kronecker product of the two matrices in the flattening's index order.
     """
-    if first_mor.src.Y != second_mor.src.X:
-        raise AmbientMismatch("morphisms are not composable through the middle variety")
     src = compose_objects(first_mor.src, second_mor.src)
     dst = compose_objects(first_mor.dst, second_mor.dst)
     [outer_through_inner] = _eval_blocks_flat(first_mor.dst, [second_mor.mat])

@@ -70,8 +70,6 @@ def random_poly(x: AffVariety, rng: random.Random, max_deg: int = 2,
         mono = [0] * width
         for _ in range(rng.randint(0, max_deg) if width else 0):
             mono[rng.randrange(width)] += 1
-        if sum(mono) > max_deg:
-            mono = [0] * width
         if coeff:
             mono = tuple(mono)
             total = field.add(terms.get(mono, field.zero), coeff)

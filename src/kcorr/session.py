@@ -327,8 +327,13 @@ def _read_statement(session: Session, word: str, text: str):
         if "{" not in rest:
             raise ParseError(f"{word} declaration needs a {{...}} block", column=1)
         body_col = text.index("{") + 1
+        close = text.rfind("}")
+        tail, tail_col = _stripped(text[close + 1:], close + 1)
+        if tail:
+            raise ParseError(f"unexpected {tail.split()[0]!r} after the closing brace",
+                             column=tail_col + 1)
         header = text[:body_col - 1].strip()[len(word):]
-        _DECL_HANDLERS[word](session, header, text[body_col:text.rfind("}")], body_col)
+        _DECL_HANDLERS[word](session, header, text[body_col:close], body_col)
     else:
         raise ParseError(f"unknown statement {word!r}", column=1)
 

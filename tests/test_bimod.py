@@ -144,6 +144,17 @@ def test_big_lift_and_identity_cache(pool):
     assert restrict_base(pulled_id) == to_bimodule(obj)
 
 
+def test_base_changes_refuse_a_map_with_the_wrong_end(pool):
+    pt, line, two, gm = pool
+    lifted = big_lift(random_object(line, two, seed=7, bounds=BOUNDS))
+    with pytest.raises(AmbientMismatch) as err:
+        big_pullback(identity_map(pt), lifted)
+    assert err.value.detail == "pullback morphism lands in pt, object based at A1"
+    with pytest.raises(AmbientMismatch) as err:
+        big_pushforward(identity_map(line), lifted)
+    assert err.value.detail == "pushforward morphism starts at A1, object over TwoPts"
+
+
 def test_strict_pullback_chain(pool):
     pt, line, two, gm = pool
     rng = random.Random(8)

@@ -225,6 +225,17 @@ def test_deeply_nested_literal_is_an_input_error(capsys):
         "error: line 3, col 134: expression nested too deeply\n")
 
 
+@pytest.mark.parametrize("name, error", [
+    ("not_utf8.kc", "line 4: byte 0xe9 is not UTF-8 text"),
+    ("text_after_block.kc", "line 3, col 38: unexpected 'this' after the closing brace"),
+])
+def test_malformed_file_is_an_input_error(name, error, capsys):
+    path = Path(__file__).resolve().parent / "data" / name
+    for word in ("run", "print"):
+        assert main([word, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("ideal, column", [(None, 48),
                                             ("x^2000000 - 1, x^2 - 2", 38)])
 def test_huge_power_is_an_input_error(ideal, column, tmp_path, capsys):

@@ -71,6 +71,9 @@ def test_eval_rejects_stray_variables(setting):
     pt, line, two, obj = setting
     with pytest.raises(UnknownVariable):
         eval_nonunital(obj, "z")
+    with pytest.raises(AmbientMismatch) as err:
+        eval_nonunital(obj, line.var("x"))
+    assert err.value.detail == "element not over k[TwoPts]"
 
 
 def test_make_correspondence_validation(setting):

@@ -6,7 +6,8 @@ import pytest
 from oracles import field_gauss_rank, field_ops, fraction_pair_rank
 from kcorr.corrcat import (IsoCertificate, direct_sum, identity_morphism,
                            make_correspondence, verify_iso, zero_object)
-from kcorr.errors import InvalidCertificate, NotIntegral, ShapeError, UnknownObject
+from kcorr.errors import (AmbientMismatch, InvalidCertificate, NotIntegral, ShapeError,
+                          UnknownObject)
 from kcorr.exactalg import (Matrix, PrimeField, QElem, QQ, rank_factorization,
                             rank_over_fraction_field, scalar_value)
 from kcorr import k0
@@ -366,3 +367,19 @@ def test_bracket_over_a_line_separates_by_rank():
     assert ranks == {0: 1, 1: 1, 2: 2, 3: 1}
     assert ledger.classes() == [[0], [1], [2], [3]]
     assert unresolved == [(0, 1), (0, 3), (1, 3)]
+
+
+def test_objects_over_the_wrong_varieties_are_refused():
+    pt, line = point(QQ), make_variety("A1", ["x"], [], QQ)
+    [a] = _diagonal_objects(pt, pt, ([1],))
+    [over_line] = _diagonal_objects(line, pt, ([1],))
+    [over_f5] = _diagonal_objects(point(PrimeField(5)), point(PrimeField(5)), ([1],))
+    with pytest.raises(AmbientMismatch) as err:
+        pt_conjugation_certificate(over_line, over_line)
+    assert err.value.detail == "conjugation search is only available over (pt, pt)"
+    with pytest.raises(AmbientMismatch) as err:
+        pt_conjugation_certificate(a, over_f5)
+    assert err.value.detail == "objects over different (X, Y)"
+    with pytest.raises(AmbientMismatch) as err:
+        K0Ledger(pt, pt).register(over_line)
+    assert err.value.detail == "object over a different (X, Y) than the ledger"

@@ -81,6 +81,12 @@ def test_flatten_rejects_ragged(pools):
     with pytest.raises(ShapeError):
         flatten_blocks([[Matrix.identity(b, 2), Matrix.identity(b, 1)],
                         [Matrix.identity(b, 1), Matrix.identity(b, 1)]])
+    with pytest.raises(ShapeError) as err:
+        flatten_blocks([[Matrix.identity(b, 1)], []])
+    assert err.value.detail == "ragged block matrix"
+    with pytest.raises(ShapeError) as err:
+        flatten_blocks([])
+    assert err.value.detail == "cannot flatten an empty block matrix without a ring"
 
 
 def test_one_by_one_flattening_is_its_block_after_the_checks(pools):
@@ -109,6 +115,9 @@ def test_middle_mismatch(pools):
     b2 = random_object(line, gm, rng=random.Random(2), bounds=BOUNDS)
     with pytest.raises(AmbientMismatch):
         compose_objects(a, b2)
+    with pytest.raises(AmbientMismatch) as err:
+        compose_morphisms(identity_morphism(b2), identity_morphism(a))
+    assert err.value.detail == "middle variety mismatch: TwoPts vs A1"
 
 
 def test_kronecker_rank_over_point(pools):

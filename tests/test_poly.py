@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcorr.errors import AmbientMismatch, ParseError, UnknownVariable
+from kcorr.errors import AmbientMismatch, InvalidArity, ParseError, UnknownVariable
 from kcorr.exactalg import (DEGREVLEX, LEX, Ambient, Poly, PrimeField, QElem,
                             QQ, parse_poly)
 from kcorr.varieties import make_variety
@@ -72,6 +72,17 @@ def test_parser_errors():
         with pytest.raises(ParseError) as info:
             parse_poly(literal, amb)
         assert info.value.column == 7 and info.value.line is None
+
+
+@pytest.mark.parametrize("literal, message, column", [
+    ("x/2", "trailing input '/'", 2),
+    ("(x,", "expected ')'", 3),
+    ("1/x", "expected integer denominator", 3),
+])
+def test_parser_errors_name_the_token(literal, message, column):
+    with pytest.raises(ParseError) as info:
+        parse_poly(literal, AMB)
+    assert (info.value.detail, info.value.column) == (message, column)
 
 
 def test_nesting_limit():
@@ -168,3 +179,25 @@ def test_ambient_mismatch():
     other = Ambient(("x", "y"), QQ, LEX)
     with pytest.raises(AmbientMismatch):
         parse_poly("x", AMB) + parse_poly("x", other)
+
+
+U = Ambient(("u",), QQ, DEGREVLEX)
+U5 = Ambient(("u",), PrimeField(5), DEGREVLEX)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Ambient(("x",), QQ, "grlex"), InvalidArity,
+     "unknown monomial order 'grlex'"),
+    (lambda: Poly.zero(AMB).leading_monomial(), InvalidArity,
+     "zero polynomial has no leading term"),
+    (lambda: parse_poly("x", AMB) ** -1, InvalidArity, "negative polynomial power"),
+    (lambda: parse_poly("x + y", AMB).substitute({"x": parse_poly("u", U)}, U),
+     UnknownVariable, "no image supplied for 'y'"),
+    (lambda: parse_poly("x", AMB).substitute(
+        {"x": parse_poly("u", U5), "y": parse_poly("u", U5)}, U5),
+     AmbientMismatch, "substitution cannot change the field"),
+], ids=["order", "leading-of-zero", "negative-power", "missing-image", "other-field"])
+def test_input_errors(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert info.value.detail == message

@@ -103,7 +103,7 @@ def test_multiline_blocks_and_comments():
 variety V {
   vars = [x];         # one coordinate
   ideal = []
-}
+}   # a comment may follow a closing brace
 corr C : V -> V {
   n = 1;
   unit = [[1]];
@@ -223,6 +223,8 @@ def test_register_rejects_a_used_name():
     ("variety W { vars = [w]; ideal = [w -* 1] }", 37, "unexpected token"),
     # an arrow before the colon is a malformed header, not a crash
     ("map m -> V : V { x = x }", 1, "expected NAME : SRC -> DST"),
+    # only blanks may follow the closing brace; a comment is gone by then
+    ("variety W { vars = [w]; ideal = [] }   ; # c", 40, "unexpected ';'"),
 ])
 def test_errors_name_their_column_in_the_source_line(decl, column, message):
     text = f"field Q\nvariety V {{ vars = [x]; ideal = [] }}\n{decl}\n"
@@ -242,6 +244,7 @@ def test_errors_name_their_column_in_the_source_line(decl, column, message):
      "unbalanced"),
     ("variety W {\n  vars = [w];   # one coordinate\n  ideal = [w -* 1]\n}", 5, 15,
      "unexpected token"),
+    ("variety W {\n  vars = [w]\n}  ideal = [w] # two", 5, 4, "unexpected 'ideal'"),
 ])
 def test_multiline_block_errors_name_their_source_line(block, line, column, message):
     text = f"field Q\nvariety V {{ vars = [x]; ideal = [] }}\n{block}\n"
@@ -313,6 +316,10 @@ morphism THI : G -> G { matrix = [[1/2]] }
      "theta and theta_inv have different lengths"),
     ("aut B { base = G; theta = [TH]; theta_inv = [NOPE] }", ResolveError,
      "aut 'B' references undeclared morphism"),
+    ("variety B { vars = [x, x]; ideal = [] }", InvalidArity,
+     "duplicate variables in ('x', 'x')"),
+    ("variety B { vars = [x]; ideal = [] } this is ignored", ParseError,
+     "unexpected 'this' after the closing brace"),
     ("variety B", ParseError, "variety declaration needs a {...} block"),
     ("frobnicate B", ParseError, "unknown statement 'frobnicate'"),
     ("variety B {\n  vars = [x];\n", ParseError, "unterminated block"),
