@@ -14,7 +14,6 @@ functor layer does the transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .corrcat import CorrObject, make_correspondence, _trusted_object
 from .errors import AmbientMismatch, ShapeError
@@ -33,18 +32,13 @@ class BimodulePresentation:
     proj: Matrix
     y_actions: tuple  # one matrix per Y-coordinate
 
-    @cached_property
-    def x_actions(self) -> tuple:
-        """One matrix per X-coordinate, the scalar action x*proj."""
-        return tuple(self.proj.scale_elem(self.X.var(v)) for v in self.X.vars)
-
     def __repr__(self):
         return f"BimodulePresentation({self.X.name} x {self.Y.name}, n={self.n})"
 
 
 def make_presentation(X: AffVariety, Y: AffVariety, n: int, proj: Matrix,
                       y_actions) -> BimodulePresentation:
-    """Validated presentation; the X-actions are derived, not supplied."""
+    """Validated presentation; X acts by scalars, so only Y's actions are supplied."""
     return to_bimodule(make_correspondence(X, Y, n, proj, y_actions))
 
 
@@ -62,10 +56,10 @@ def bimodule_hom_valid(p: BimodulePresentation, q: BimodulePresentation,
                        mat: Matrix) -> bool:
     """Module-homomorphism test over k[X x Y].
 
-    True when the matrix is fixed by the projectors and intertwines every X-
-    and Y-action.  The X-action check is redundant for central scalars but is
-    performed literally, as this predicate is the independent counterpart of
-    morphism validity on the correspondence side.
+    True when the matrix is fixed by the projectors and intertwines every
+    Y-action.  X acts by central scalars, x*proj on each side, so the corner
+    law implies the X-intertwining: for an idempotent P and Q with Q m P = m,
+    m (xP) = x (mP) = x m = x (Qm) = (xQ) m.
     """
     if p.X != q.X or p.Y != q.Y:
         raise AmbientMismatch("presentations over different (X, Y)")
@@ -75,9 +69,6 @@ def bimodule_hom_valid(p: BimodulePresentation, q: BimodulePresentation,
         raise AmbientMismatch("matrix over a different ring")
     if q.proj * mat * p.proj != mat:
         return False
-    for a_src, a_dst in zip(p.x_actions, q.x_actions):
-        if mat * a_src != a_dst * mat:
-            return False
     for a_src, a_dst in zip(p.y_actions, q.y_actions):
         if mat * a_src != a_dst * mat:
             return False

@@ -30,11 +30,13 @@ def _load_session(path: str) -> Session:
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        # exc.start indexes exc.object, the data after any byte-order mark;
         # the sentinel stands for the undecodable byte, so its line counts too
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text", line) from None
+        bad = exc.object
+        line = len((bad[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"byte 0x{bad[exc.start]:02x} is not UTF-8 text", line) from None
     return parse_session(text)
 
 
@@ -162,9 +164,10 @@ SESSION_COMMANDS = {
 
 
 def execute_command(session: Session | None, word: str, args, out) -> int:
-    """Run one command, from a session or from the command line."""
-    if word not in SESSION_COMMANDS:
-        raise ResolveError(f"unknown command {word!r}")
+    """Run one command, from a session or from the command line.
+
+    ``word`` is a key of ``SESSION_COMMANDS``: argparse's choices and
+    ``session.COMMAND_WORDS`` admit no other word."""
     handler, min_args, max_args = SESSION_COMMANDS[word]
     if len(args) < min_args or (max_args is not None and len(args) > max_args):
         raise ResolveError(f"command {word} takes "

@@ -42,8 +42,6 @@ def corner_eval(p: Matrix, action_mats, polys) -> list[Matrix]:
     def corner(mono):
         entries = corners.get(mono)
         if entries is None:
-            if len(mono) != len(action_mats):
-                raise UnknownVariable("polynomial does not match the action matrices")
             term = p
             for i, e in enumerate(mono):
                 if e:
@@ -276,13 +274,10 @@ def sum_injections(a: CorrObject, b: CorrObject):
     """Biproduct structure maps (sum, i1, i2, pr1, pr2) of a (+) b."""
     s = direct_sum(a, b)
     basis = a.X.gb
-    z = QElem.zero(basis)
-    i1_rows = [list(row) for row in a.p.rows] + [[z] * a.n for _ in range(b.n)]
-    i2_rows = [[z] * b.n for _ in range(a.n)] + [list(row) for row in b.p.rows]
-    pr1_rows = [list(row) + [z] * b.n for row in a.p.rows]
-    pr2_rows = [[z] * a.n + list(row) for row in b.p.rows]
-    i1 = _trusted_morphism(a, s, Matrix(basis, i1_rows, s.n, a.n))
-    i2 = _trusted_morphism(b, s, Matrix(basis, i2_rows, s.n, b.n))
-    pr1 = _trusted_morphism(s, a, Matrix(basis, pr1_rows, a.n, s.n))
-    pr2 = _trusted_morphism(s, b, Matrix(basis, pr2_rows, b.n, s.n))
+    block_diag, zeros = Matrix.block_diag, Matrix.zeros
+    # each map is a.p or b.p beside a zero block with one side of length 0
+    i1 = _trusted_morphism(a, s, block_diag(basis, (a.p, zeros(basis, b.n, 0))))
+    i2 = _trusted_morphism(b, s, block_diag(basis, (zeros(basis, a.n, 0), b.p)))
+    pr1 = _trusted_morphism(s, a, block_diag(basis, (a.p, zeros(basis, 0, b.n))))
+    pr2 = _trusted_morphism(s, b, block_diag(basis, (zeros(basis, 0, a.n), b.p)))
     return s, i1, i2, pr1, pr2

@@ -137,8 +137,8 @@ class Matrix:
                for j in range(self.ncols)]
         return Matrix(self.basis, out, self.ncols, self.nrows)
 
-    def map_entries(self, fn, basis: GroebnerBasis | None = None) -> "Matrix":
-        basis = basis if basis is not None else self.basis
+    def map_entries(self, fn, basis: GroebnerBasis) -> "Matrix":
+        """``fn`` applied to every entry, giving a matrix over ``basis``."""
         return Matrix(basis, [[fn(a) for a in r] for r in self.rows],
                       self.nrows, self.ncols)
 

@@ -173,11 +173,7 @@ class Poly:
         field = self.ambient.field
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            s = field.add(acc.get(m, field.zero), c)
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
+            acc[m] = field.add(acc.get(m, field.zero), c)
         return Poly(self.ambient, acc)
 
     def __neg__(self) -> "Poly":
@@ -200,11 +196,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = field.add(acc.get(m, field.zero), field.mul(c1, c2))
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
+                acc[m] = field.add(acc.get(m, field.zero), field.mul(c1, c2))
         return Poly(self.ambient, acc)
 
     def scale(self, c) -> "Poly":

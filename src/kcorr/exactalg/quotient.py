@@ -62,8 +62,6 @@ class QElem:
 
     def __mul__(self, other: "QElem") -> "QElem":
         self._check(other)
-        if self.rep.is_zero() or other.rep.is_zero():
-            return QElem(self.basis, Poly.zero(self.basis.ambient), reduced=True)
         return QElem(self.basis, self.rep * other.rep)
 
     def scale(self, c) -> "QElem":

@@ -70,13 +70,8 @@ def random_poly(x: AffVariety, rng: random.Random, max_deg: int = 2,
         mono = [0] * width
         for _ in range(rng.randint(0, max_deg) if width else 0):
             mono[rng.randrange(width)] += 1
-        if coeff:
-            mono = tuple(mono)
-            total = field.add(terms.get(mono, field.zero), coeff)
-            if total:
-                terms[mono] = total
-            else:
-                del terms[mono]
+        mono = tuple(mono)
+        terms[mono] = field.add(terms.get(mono, field.zero), coeff)
     return Poly(ambient, terms)
 
 
@@ -122,8 +117,11 @@ def _breaks_at(y: AffVariety, polys, coords) -> bool:
     return not _is_point(y, [_value_at(f, coords) for f in polys])
 
 
-def sample_point(x: AffVariety, y: AffVariety, rng: random.Random,
-                 max_deg: int = 2, budget: int = 12):
+# random candidates tried before a point falls back to a scalar one
+SAMPLE_BUDGET = 12
+
+
+def sample_point(x: AffVariety, y: AffVariety, rng: random.Random, max_deg: int = 2):
     """A point of ``y`` with coordinates in k[x], as a tuple of QElem."""
     if not y.vars:
         return ()
@@ -132,7 +130,7 @@ def sample_point(x: AffVariety, y: AffVariety, rng: random.Random,
     # evaluation at a k-point of x is a ring map k[x] -> k, so a candidate
     # that breaks a relation of y there breaks it in k[x] too
     points = _test_points(x)
-    for _ in range(budget):
+    for _ in range(SAMPLE_BUDGET):
         polys = [random_poly(x, rng, max_deg) for _ in y.vars]
         if any(_breaks_at(y, polys, coords) for coords in points):
             continue

@@ -45,15 +45,13 @@ class AffVariety:
     # ring access ---------------------------------------------------------
 
     def qelem(self, value) -> QElem:
-        """Coerce a Poly, string literal, int or QElem into k[self]."""
+        """Coerce a Poly, string literal or QElem into k[self]."""
         if isinstance(value, QElem):
             if value.basis != self.gb:
                 raise AmbientMismatch(f"element not over k[{self.name}]")
             return value
         if isinstance(value, Poly):
             return QElem(self.gb, value)
-        if isinstance(value, int):
-            return QElem.const(self.gb, self.field.from_int(value))
         return QElem(self.gb, parse_poly(value, self.ambient))
 
     def var(self, name: str) -> QElem:

@@ -42,17 +42,8 @@ def test_to_bimodule_repackages(pool):
     pres = to_bimodule(obj)
     assert pres.proj == obj.p
     assert pres.y_actions == obj.gen_images
-    assert pres.x_actions == ()  # the point has no coordinates
     z = to_bimodule(zero_object(pt, two))
     assert z.n == 0
-
-
-def test_x_actions_are_scalar_multiples(pool):
-    pt, line, two, gm = pool
-    obj = random_object(line, two, seed=1, bounds=BOUNDS)
-    pres = to_bimodule(obj)
-    assert len(pres.x_actions) == 1
-    assert pres.x_actions[0] == pres.proj.scale_elem(line.var("x"))
 
 
 def test_to_bimodule_respects_sums(pool):
@@ -114,6 +105,17 @@ def test_hom_validity_equivalence_randomized(pool):
     assert agreements >= 200
 
 
+def test_corner_law_implies_x_intertwining(pool):
+    # X acts on both sides by x * proj, so a valid morphism intertwines it
+    pt, line, two, gm = pool
+    rng = random.Random(derive_seed("x-intertwining"))
+    x = line.var("x")
+    for _ in range(20):
+        mor = random_morphism_from(random_object(line, two, rng=rng, bounds=BOUNDS),
+                                   rng, BOUNDS)
+        assert mor.mat * mor.src.p.scale_elem(x) == mor.dst.p.scale_elem(x) * mor.mat
+
+
 def test_presentation_shape_errors(pool):
     pt, line, two, gm = pool
     a = to_bimodule(random_object(line, two, seed=5, bounds=BOUNDS))
@@ -122,6 +124,8 @@ def test_presentation_shape_errors(pool):
         bimodule_hom_valid(a, b2, a.proj)
     with pytest.raises(ShapeError):
         bimodule_hom_valid(a, a, Matrix.identity(line.gb, a.n + 1))
+    with pytest.raises(AmbientMismatch, match="^matrix over a different ring$"):
+        bimodule_hom_valid(a, a, Matrix.identity(pt.gb, a.n))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])

@@ -236,6 +236,26 @@ def test_malformed_file_is_an_input_error(name, error, capsys):
         assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("name, status, expected", [
+    ("bom.kc", 0, None),
+    ("not_utf8.kc", 2, ("", "error: line 4: byte 0xe9 is not UTF-8 text\n")),
+], ids=["same-as-without", "bad-byte-line"])
+def test_byte_order_mark_is_skipped(name, status, expected, tmp_path, capsys):
+    data = (Path(__file__).resolve().parent / "data" / name).read_bytes()
+    with_bom, without = tmp_path / "with.kc", tmp_path / "without.kc"
+    with_bom.write_bytes(data if data.startswith(BOM) else BOM + data)
+    without.write_bytes(data.removeprefix(BOM))
+    for word in ("run", "print"):
+        assert main([word, str(without)]) == status
+        plain = capsys.readouterr()
+        assert main([word, str(with_bom)]) == status
+        assert capsys.readouterr() == plain
+        assert expected is None or plain == expected
+
+
 @pytest.mark.parametrize("ideal, column", [(None, 48),
                                             ("x^2000000 - 1, x^2 - 2", 38)])
 def test_huge_power_is_an_input_error(ideal, column, tmp_path, capsys):

@@ -74,6 +74,9 @@ def test_eval_rejects_stray_variables(setting):
     with pytest.raises(AmbientMismatch) as err:
         eval_nonunital(obj, line.var("x"))
     assert err.value.detail == "element not over k[TwoPts]"
+    with pytest.raises(UnknownVariable) as err:
+        eval_nonunital(obj, line.var("x").rep)
+    assert err.value.detail == "polynomial over ('x',) does not match TwoPts"
 
 
 def test_make_correspondence_validation(setting):

@@ -34,6 +34,15 @@ def test_field_axioms_randomized(field):
             assert field.mul(a, field.inv(a)) == field.one
 
 
+@pytest.mark.parametrize("field, message", [(QQ, "inverse of 0 in Q"),
+                                            (PrimeField(5), "inverse of 0 in F5")],
+                         ids=["Q", "F5"])
+def test_inverse_of_zero_refused(field, message):
+    with pytest.raises(ZeroDivisionError) as info:
+        field.inv(field.zero)
+    assert str(info.value) == message
+
+
 @given(a=st.integers(), b=st.integers())
 def test_prime_field_ring_map(a, b):
     f5 = PrimeField(5)

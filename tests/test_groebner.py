@@ -86,6 +86,19 @@ def test_quotient_eq_examples():
     assert unit.gens == (Poly.one(amb),)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: buchberger([]), "cannot infer ambient from an empty generator list"),
+    (lambda: quotient_eq(parse_poly("u", Ambient(("u",), QQ, "lex")),
+                         parse_poly("u", Ambient(("u",), QQ, "lex")),
+                         buchberger([], Ambient(("x",), QQ, "lex"))),
+     "operands live over a different ambient than the basis"),
+], ids=["empty-without-ambient", "quotient-eq-other-ambient"])
+def test_input_errors(build, message):
+    with pytest.raises(AmbientMismatch) as info:
+        build()
+    assert info.value.detail == message
+
+
 def test_degenerate_ideals():
     amb = Ambient(("x",), QQ, "degrevlex")
     zero_ideal = buchberger([], amb)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kcorr.errors import AmbientMismatch, InvalidArity, ParseError, UnknownVariable
 from kcorr.exactalg import (DEGREVLEX, LEX, Ambient, Poly, PrimeField, QElem,
-                            QQ, parse_poly)
+                            QQ, buchberger, parse_poly)
 from kcorr.varieties import make_variety
 
 AMB = Ambient(("x", "y"), QQ, DEGREVLEX)
@@ -196,7 +196,12 @@ U5 = Ambient(("u",), PrimeField(5), DEGREVLEX)
     (lambda: parse_poly("x", AMB).substitute(
         {"x": parse_poly("u", U5), "y": parse_poly("u", U5)}, U5),
      AmbientMismatch, "substitution cannot change the field"),
-], ids=["order", "leading-of-zero", "negative-power", "missing-image", "other-field"])
+    (lambda: QElem(buchberger([], U), parse_poly("x", AMB)), AmbientMismatch,
+     "Ambient(['x', 'y'], Q, degrevlex) vs Ambient(['u'], Q, degrevlex)"),
+    (lambda: QElem.one(buchberger([], U)) * QElem.one(buchberger([], U5)),
+     AmbientMismatch, "elements of different quotient rings"),
+], ids=["order", "leading-of-zero", "negative-power", "missing-image", "other-field",
+        "element-over-other-ambient", "elements-of-two-rings"])
 def test_input_errors(build, error, message):
     with pytest.raises(error) as info:
         build()

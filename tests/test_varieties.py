@@ -212,6 +212,11 @@ VARIETY_CHECKS = [
     ("compose-mismatch", lambda line, two: compose_maps(
         identity_map(line), identity_map(two)),
      AmbientMismatch, "cannot compose A1->A1 after TwoPts->TwoPts"),
+    ("element-of-other-ring", lambda line, two: line.qelem(two.var("y")),
+     AmbientMismatch, "element not over k[A1]"),
+    ("torus-vars-other-relation", lambda line, two: split_torus(
+        make_variety("NotGm1", ["t1", "s1"], ["t1*s1 - 2"], QQ)),
+     ShapeError, "NotGm1 has no trailing torus factor"),
 ]
 
 
