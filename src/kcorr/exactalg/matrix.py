@@ -137,11 +137,6 @@ class Matrix:
                for j in range(self.ncols)]
         return Matrix(self.basis, out, self.ncols, self.nrows)
 
-    def map_entries(self, fn, basis: GroebnerBasis) -> "Matrix":
-        """``fn`` applied to every entry, giving a matrix over ``basis``."""
-        return Matrix(basis, [[fn(a) for a in r] for r in self.rows],
-                      self.nrows, self.ncols)
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.rows for a in r)
 
@@ -204,8 +199,6 @@ def rank_over_fraction_field(mat: Matrix) -> int:
     rows = [list(r) for r in mat.rows]
     rank = 0
     for col in range(mat.ncols):
-        if rank == len(rows):
-            break
         pivot_row = next((i for i in range(rank, len(rows))
                           if not rows[i][col].is_zero()), None)
         if pivot_row is None:

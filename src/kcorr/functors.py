@@ -4,11 +4,12 @@ Pullback and pushforward along a variety morphism are composition with its
 graph: base change along f is ``compose_objects(graph_object(f), obj)`` and
 relabelling the target along g is ``compose_objects(obj, graph_object(g))``.
 The box product extends a correspondence over (X, X') to one over
-(X x U, X' x U') along a morphism U -> U'.  Trailing torus coordinates in the
-target can be split off into certified commuting automorphisms and merged
-back - a category isomorphism that is exact on data for product-shaped
-targets.  Every value built here is derived, so corrcat's ``_trusted``
-constructors check it in debug mode only.
+(X x U, X' x U') along a morphism U -> U'; it and the pullback of
+automorphisms move matrices through a graph as well (``pull_matrices``).
+Trailing torus coordinates in the target can be split off into certified
+commuting automorphisms and merged back - a category isomorphism that is
+exact on data for product-shaped targets.  Every value built here is
+derived, so corrcat's ``_trusted`` constructors check it in debug mode only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, graph_object,
                       identity_morphism, verify_iso, _trusted, _trusted_morphism,
                       _trusted_object)
 from .errors import InvalidArity, InvalidCertificate, ShapeError
-from .pairing import compose_objects, compose_morphisms
+from .pairing import compose_objects, compose_morphisms, pull_matrices
 from .varieties import (VarMorphism, gm_power, product, split_projections,
                         split_torus)
 
@@ -56,15 +57,14 @@ def pushforward_mor(g: VarMorphism, mor: CorrMorphism) -> CorrMorphism:
 def box_product(f: VarMorphism, obj: CorrObject) -> CorrObject:
     """External product along f: U -> U', sending (X, X') to (X x U, X' x U').
 
-    The idempotent and the X'-actions pull back along the projection to X;
-    each new U'-coordinate acts by the scalar pullback of its f-image times
-    the idempotent.
+    The idempotent and the X'-actions pull back along the projection to X,
+    through its graph; each new U'-coordinate acts by the scalar pullback of
+    its f-image times the idempotent.
     """
     src = product(obj.X, f.source)
     tgt = product(obj.Y, f.target)
     q_x, q_u = split_projections(src, obj.X, f.source)
-    p = q_x.pull_matrix(obj.p)
-    gens = [q_x.pull_matrix(a) for a in obj.gen_images]
+    p, *gens = pull_matrices(q_x, (obj.p, *obj.gen_images))
     for img in f.images:
         scalar = q_u.pull(img)
         gens.append(p.scale_elem(scalar))
@@ -75,7 +75,8 @@ def box_mor(f: VarMorphism, mor: CorrMorphism) -> CorrMorphism:
     src = box_product(f, mor.src)
     dst = box_product(f, mor.dst)
     q_x, _ = split_projections(src.X, mor.src.X, f.source)
-    return _trusted_morphism(src, dst, q_x.pull_matrix(mor.mat))
+    [mat] = pull_matrices(q_x, [mor.mat])
+    return _trusted_morphism(src, dst, mat)
 
 
 # -- torus actions as certified automorphisms ------------------------------
@@ -189,10 +190,11 @@ def torus_morphism_from_aut(amor: AutMorphism) -> CorrMorphism:
 
 
 def pullback_aut(f: VarMorphism, aut: AutObject) -> AutObject:
-    """Base change of an automorphism object; witnesses transport entrywise."""
-    return _aut_on(pullback_obj(f, aut.base),
-                   ((f.pull_matrix(fwd.mat), f.pull_matrix(bwd.mat))
-                    for fwd, bwd in aut.thetas))
+    """Base change of an automorphism object; the witnesses pull back along
+    f through its graph, all in one evaluation."""
+    base = pullback_obj(f, aut.base)
+    mats = pull_matrices(f, [m.mat for pair in aut.thetas for m in pair])
+    return _aut_on(base, zip(mats[0::2], mats[1::2]))
 
 
 def pushforward_aut(g: VarMorphism, aut: AutObject) -> AutObject:

@@ -36,8 +36,6 @@ def rank(obj: CorrObject, assume_integral: bool = False) -> int:
     if obj.X.ideal_gens and not assume_integral:
         raise NotIntegral(
             f"{obj.X.name} has relations; pass assume_integral=True if its ideal is prime")
-    if obj.n == 0:
-        return 0
     return rank_over_fraction_field(obj.p)
 
 

@@ -17,8 +17,8 @@ from functools import cached_property
 
 from .errors import (AmbientMismatch, FieldMismatch, InvalidArity,
                      NotWellDefined, ParseError, ShapeError, UnknownVariable)
-from .exactalg import (DEGREVLEX, Ambient, Field, Matrix, Poly, QElem,
-                       buchberger, parse_poly, tokenize)
+from .exactalg import (DEGREVLEX, Ambient, Field, Poly, QElem, buchberger,
+                       parse_poly, tokenize)
 
 SEPARATOR = "."
 
@@ -213,10 +213,6 @@ class VarMorphism:
         q = self.target.qelem(value)
         rep = q.rep.substitute(self.image_map(), self.source.ambient)
         return QElem(self.source.gb, rep)
-
-    def pull_matrix(self, mat: Matrix) -> Matrix:
-        """Entrywise pullback of a matrix over k[target] to k[source]."""
-        return mat.map_entries(self.pull, self.source.gb)
 
     def __repr__(self):
         imgs = ", ".join(f"{v}->{img}" for v, img in zip(self.target.vars, self.images))

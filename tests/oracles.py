@@ -7,7 +7,8 @@ elimination, and the fraction-field rank oracle eliminates on (numerator,
 denominator) pairs of ring elements.  The matrix oracles use the package's
 ``Poly`` arithmetic and ``normal_form`` (which the Buchberger oracle checks)
 but none of its matrix or corner-evaluation code: they are the plain dense
-loops.
+loops.  The entrywise pullback substitutes along a variety map one entry at
+a time, where the package evaluates through the map's graph.
 """
 
 from __future__ import annotations
@@ -242,6 +243,13 @@ def dense_matrix_product(a, b):
             row.append(QElem(basis, basis.normal_form(acc), reduced=True))
         rows.append(row)
     return Matrix(basis, rows, a.nrows, b.ncols)
+
+
+def entrywise_pull(f, mat):
+    """``mat`` over k[f.target] pulled back to k[f.source] by applying
+    ``VarMorphism.pull`` (substitution, then one normal form) to each entry."""
+    return Matrix(f.source.gb, [[f.pull(e) for e in row] for row in mat.rows],
+                  mat.nrows, mat.ncols)
 
 
 def term_by_term_corner_eval(p, action_mats, poly):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import entrywise_pull
 from kcorr.bimod import (big_lift, big_pullback, big_pushforward,
                          bimodule_hom_valid, from_bimodule, make_presentation,
                          restrict_base, to_bimodule)
@@ -198,8 +199,8 @@ def test_restricted_value_is_entrywise_pullback(pool):
     restricted = restrict_base(lifted)
     expected = make_presentation(
         pt, two, obj.n,
-        obj.p.map_entries(lambda e: g.pull(e), pt.gb),
-        tuple(a.map_entries(lambda e: g.pull(e), pt.gb) for a in obj.gen_images))
+        entrywise_pull(g, obj.p),
+        tuple(entrywise_pull(g, a) for a in obj.gen_images))
     assert restricted == expected
 
 

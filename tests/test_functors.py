@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import term_by_term_corner_eval
+from oracles import entrywise_pull, term_by_term_corner_eval
 from kcorr.config import debug_validation
 from kcorr.corrcat import (CorrObject, graph_object, identity_object,
                            make_correspondence, make_corr_morphism, zero_object)
@@ -16,7 +16,7 @@ from kcorr.functors import (aut_morphism_from_torus, box_mor, box_product,
                             pushforward_mor, pushforward_obj,
                             to_automorphism_object, to_torus_object,
                             torus_morphism_from_aut)
-from kcorr import pairing
+from kcorr import functors, pairing
 from kcorr.pairing import compose_morphisms, compose_objects
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
                              random_morphism_from, random_object, sample_map)
@@ -93,7 +93,9 @@ def test_pull_push_commute_randomized(pool):
 @pytest.mark.parametrize("field", [PrimeField(5), QQ], ids=["F5", "Q"])
 def test_graph_composition_matches_entrywise_oracles(field):
     """Pullback is entrywise substitution and pushforward is evaluation of
-    the target coordinates, on every pair of base and target in the pool."""
+    the target coordinates, on every pair of base and target in the pool.
+    The box product, on its idempotent, X'-actions and morphisms, and the
+    pullback of automorphism witnesses are entrywise substitution too."""
     varieties = (point(field), make_variety("A1", ["x"], [], field),
                  make_variety("TwoPts", ["y"], ["y^2 - y"], field),
                  gm_power(1, field))
@@ -106,14 +108,27 @@ def test_graph_composition_matches_entrywise_oracles(field):
                 g = sample_map(y, rng.choice(varieties), rng, max_deg=1)
                 mor = random_morphism_from(obj, rng, BOUNDS)
                 assert pullback_obj(f, obj) == CorrObject(
-                    f.source, obj.Y, obj.n, f.pull_matrix(obj.p),
-                    tuple(f.pull_matrix(a) for a in obj.gen_images))
+                    f.source, obj.Y, obj.n, entrywise_pull(f, obj.p),
+                    tuple(entrywise_pull(f, a) for a in obj.gen_images))
                 assert pushforward_obj(g, obj) == CorrObject(
                     obj.X, g.target, obj.n, obj.p,
                     tuple(term_by_term_corner_eval(obj.p, obj.gen_images, img.rep)
                           for img in g.images))
-                assert pullback_mor(f, mor).mat == f.pull_matrix(mor.mat)
+                assert pullback_mor(f, mor).mat == entrywise_pull(f, mor.mat)
                 assert pushforward_mor(g, mor).mat == mor.mat
+                h = sample_map(rng.choice(varieties), rng.choice(varieties), rng,
+                               max_deg=1)
+                q_x, _ = split_projections(product(x, h.source), x, h.source)
+                boxed = box_product(h, obj)
+                assert boxed.p == entrywise_pull(q_x, obj.p)
+                assert boxed.gen_images[:len(obj.gen_images)] == \
+                    tuple(entrywise_pull(q_x, a) for a in obj.gen_images)
+                assert box_mor(h, mor).mat == entrywise_pull(q_x, mor.mat)
+            aut = random_aut_object(x, y, rng.choice((1, 2)), rng=rng, bounds=BOUNDS)
+            f = sample_map(rng.choice(varieties), x, rng, max_deg=1)
+            assert [(fwd.mat, bwd.mat) for fwd, bwd in pullback_aut(f, aut).thetas] == \
+                [(entrywise_pull(f, fwd.mat), entrywise_pull(f, bwd.mat))
+                 for fwd, bwd in aut.thetas]
 
 
 @pytest.mark.parametrize("functor, message", [
@@ -274,18 +289,18 @@ def test_torus_naturality_conditions(pool):
 
 
 def _corrupt_pullbacks(monkeypatch):
-    """Make every entrywise pullback return twice the true matrix."""
-    true_pull = VarMorphism.pull_matrix
-    monkeypatch.setattr(VarMorphism, "pull_matrix",
-                        lambda self, mat: true_pull(self, mat) + true_pull(self, mat))
+    """Make every matrix the functors pull back along a map twice the true one."""
+    true_pull = functors.pull_matrices
+    monkeypatch.setattr(functors, "pull_matrices",
+                        lambda f, mats: [m + m for m in true_pull(f, mats)])
 
 
 def _corrupt_flattening(monkeypatch):
     """Make every flattened block matrix of the pairing twice the true one."""
     true_flatten = pairing.flatten_blocks
 
-    def doubled(blocks, basis=None):
-        mat = true_flatten(blocks, basis)
+    def doubled(blocks):
+        mat = true_flatten(blocks)
         return mat + mat
 
     monkeypatch.setattr(pairing, "flatten_blocks", doubled)
@@ -297,7 +312,7 @@ def test_corrupted_pullback_is_an_internal_violation(pool, monkeypatch):
     ev1 = make_morphism(pt, line, ["1"])
     _corrupt_flattening(monkeypatch)
     # release mode trusts the value
-    assert pullback_obj(ev1, phi).p != ev1.pull_matrix(phi.p)
+    assert pullback_obj(ev1, phi).p != entrywise_pull(ev1, phi.p)
     with debug_validation():
         with pytest.raises(InternalLawViolation, match="derived CorrObject"):
             pullback_obj(ev1, phi)

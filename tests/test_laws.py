@@ -93,14 +93,13 @@ def test_json_lines_shape():
     assert "summary" in json.loads(lines[1])
 
 
-def _shuffled_flatten(blocks, basis=None):
+def _shuffled_flatten(blocks):
     """Wrong interleaving: outer index varies fastest."""
     blocks = [list(row) for row in blocks]
     nrows = len(blocks)
-    ncols = len(blocks[0]) if blocks else 0
-    inner = blocks[0][0].nrows if blocks and blocks[0] else 0
-    if basis is None and blocks and blocks[0]:
-        basis = blocks[0][0].basis
+    ncols = len(blocks[0])
+    inner = blocks[0][0].nrows
+    basis = blocks[0][0].basis
     from kcorr.exactalg import QElem
     z = QElem.zero(basis)
     out = [[z] * (ncols * inner) for _ in range(nrows * inner)]

@@ -139,10 +139,10 @@ def test_shared_power_table_matches_fresh_tables(name, data):
     assert corner_eval(p, mats, entries[::-1]) == oracle[::-1]
     obj = CorrObject(variety, variety, n, p, tuple(mats))
     blocks = [oracle[i * c:(i + 1) * c] for i in range(r)]
-    flat = flatten_blocks(blocks, basis=variety.gb)
+    flat = flatten_blocks(blocks)
     assert _eval_blocks_flat(obj, [outer]) == [flat]
     p_flat = flatten_blocks([[term_by_term_corner_eval(p, mats, e.rep) for e in row]
-                             for row in p.rows], basis=variety.gb)
+                             for row in p.rows])
     assert _eval_blocks_flat(obj, [p, outer]) == [p_flat, flat]
 
 
@@ -199,7 +199,7 @@ def test_each_composition_and_pushforward_makes_one_corner_eval(name, monkeypatc
     assert batches == [(1 + len(second.gen_images)) * second.n ** 2]
     want_p = [[term_by_term_corner_eval(first.p, first.gen_images, e.rep) for e in row]
               for row in second.p.rows]
-    assert composite.p == flatten_blocks(want_p, basis=variety.gb)
+    assert composite.p == flatten_blocks(want_p)
 
     batches.clear()
     compose_morphisms(second_mor, first_mor)

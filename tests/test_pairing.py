@@ -86,18 +86,21 @@ def test_flatten_rejects_ragged(pools):
     assert err.value.detail == "ragged block matrix"
     with pytest.raises(ShapeError) as err:
         flatten_blocks([])
-    assert err.value.detail == "cannot flatten an empty block matrix without a ring"
+    assert err.value.detail == "cannot flatten an empty block matrix"
+    with pytest.raises(ShapeError) as err:
+        flatten_blocks([[]])
+    assert err.value.detail == "cannot flatten an empty block matrix"
 
 
 def test_one_by_one_flattening_is_its_block_after_the_checks(pools):
     b = pools[QQ][0].gb
     blk = _scalar_matrix(b, [[1, 2], [3, 4]])
     assert flatten_blocks([[blk]]) is blk
-    assert flatten_blocks([[blk]], basis=b) is blk
     with pytest.raises(ShapeError, match="square"):
         flatten_blocks([[_scalar_matrix(b, [[1, 2]])]])
+    other = _scalar_matrix(pools[QQ][1].gb, [[1, 2], [3, 4]])
     with pytest.raises(AmbientMismatch, match="different rings"):
-        flatten_blocks([[blk]], basis=pools[QQ][1].gb)
+        flatten_blocks([[blk, other]])
 
 
 def test_unit_laws_exact(pools):
@@ -276,8 +279,8 @@ def test_broken_composites_are_internal_violations_in_debug_mode(pools, monkeypa
             compose_morphisms(m2, m1)
     # the shuffled flattening conjugates every block matrix by one
     # permutation, so composite objects stay valid; doubling them does not
-    def doubled(blocks, basis=None):
-        mat = flatten_blocks(blocks, basis)
+    def doubled(blocks):
+        mat = flatten_blocks(blocks)
         return mat + mat
 
     monkeypatch.setattr(pairing, "flatten_blocks", doubled)
