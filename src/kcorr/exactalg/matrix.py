@@ -132,11 +132,6 @@ class Matrix:
         return Matrix(self.basis, [[a * q for a in r] for r in self.rows],
                       self.nrows, self.ncols)
 
-    def transpose(self) -> "Matrix":
-        out = [[self.rows[i][j] for i in range(self.nrows)]
-               for j in range(self.ncols)]
-        return Matrix(self.basis, out, self.ncols, self.nrows)
-
     def is_zero(self) -> bool:
         return all(a.is_zero() for r in self.rows for a in r)
 
@@ -160,17 +155,6 @@ class Matrix:
             r0 += b.nrows
             c0 += b.ncols
         return Matrix(basis, out, nrows, ncols)
-
-    @staticmethod
-    def permutation(basis: GroebnerBasis, images) -> "Matrix":
-        """Matrix sending basis vector j to basis vector images[j]."""
-        n = len(images)
-        z = QElem.zero(basis)
-        o = QElem.one(basis)
-        out = [[z] * n for _ in range(n)]
-        for j, i in enumerate(images):
-            out[i][j] = o
-        return Matrix(basis, out, n, n)
 
     # equality ------------------------------------------------------------
 

@@ -33,6 +33,12 @@ from .varieties import (compose_maps, gm_power, identity_map, make_variety,
 LAW_BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.05)
 
 
+def law_pool(field: Field) -> tuple:
+    """The varieties the laws draw from: pt, A1, TwoPts and Gm1 over ``field``."""
+    return (point(field), make_variety("A1", ["x"], [], field),
+            make_variety("TwoPts", ["y"], ["y^2 - y"], field), gm_power(1, field))
+
+
 @dataclass
 class LawFailure:
     law: str
@@ -145,11 +151,7 @@ class Ctx:
         self.case = 0
         self.bounds = LAW_BOUNDS
         self.failures = []
-        self.pt = point(field)
-        self.line = make_variety("A1", ["x"], [], field)
-        self.twopts = make_variety("TwoPts", ["y"], ["y^2 - y"], field)
-        self.gm = gm_power(1, field)
-        self.pool = (self.pt, self.line, self.twopts, self.gm)
+        self.pool = law_pool(field)
 
     def rand_variety(self, rng):
         return rng.choice(self.pool)
@@ -326,7 +328,7 @@ def law_box_unit_square(ctx: Ctx, rng: random.Random):
 
 def law_torus_isomorphism(ctx: Ctx, rng: random.Random):
     x = ctx.rand_variety(rng)
-    y = rng.choice((ctx.pt, ctx.line, ctx.twopts))
+    y = rng.choice(ctx.pool[:3])
     arity = rng.choice((1, 2))
     aut = random_aut_object(x, y, arity, rng=rng, bounds=ctx.bounds)
     ctx.check("merge-then-split",
@@ -440,7 +442,7 @@ def law_bimod_pushforward_chain(ctx: Ctx, rng: random.Random):
 
 
 def _rand_torus_object(ctx, rng, arity):
-    y = rng.choice((ctx.pt, ctx.line, ctx.twopts))
+    y = rng.choice(ctx.pool[:3])
     x = ctx.rand_variety(rng)
     return functors.to_torus_object(
         random_aut_object(x, y, arity, rng=rng, bounds=ctx.bounds))

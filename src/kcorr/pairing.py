@@ -151,11 +151,17 @@ def sum_split_certificate_inner(first_a: CorrObject, first_b: CorrObject,
     combined = compose_objects(direct_sum(first_a, first_b), second)
     split = direct_sum(compose_objects(first_a, second),
                        compose_objects(first_b, second))
-    basis = combined.p.basis
-    perm = Matrix.permutation(
-        basis, _interleave_permutation(first_a.n, first_b.n, second.n))
-    fwd = _trusted_morphism(combined, split, perm * combined.p)
-    bwd = _trusted_morphism(split, combined, combined.p * perm.transpose())
+    # move the rows (fwd) and the columns (bwd) of the idempotent to where
+    # the direct sum lists them
+    images = _interleave_permutation(first_a.n, first_b.n, second.n)
+    source = [0] * len(images)
+    for old, new in enumerate(images):
+        source[new] = old
+    basis, rows, n = combined.p.basis, combined.p.rows, combined.n
+    fwd = _trusted_morphism(combined, split,
+                            Matrix(basis, [rows[k] for k in source], n, n))
+    bwd = _trusted_morphism(split, combined, Matrix(
+        basis, [[row[k] for k in source] for row in rows], n, n))
     cert = IsoCertificate(fwd, bwd)
     if not verify_iso(cert):
         raise InternalLawViolation("inner direct-sum certificate failed verification")

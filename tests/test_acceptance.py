@@ -9,15 +9,14 @@ import json
 import random
 from pathlib import Path
 
-import pytest
-
-from oracles import (canonical, dense_kron, field_gauss_rank, field_ops,
-                     naive_buchberger, poly_to_dict)
+from mutants import shuffled_flatten
+from oracles import (canonical, dense_kron, field_ops, naive_buchberger,
+                     poly_to_dict)
 from kcorr import pairing
 from kcorr.bimod import bimodule_hom_valid, big_lift, big_pullback, \
     big_pushforward, restrict_base, to_bimodule
-from kcorr.corrcat import (compose_vertical, graph_object, identity_morphism,
-                           identity_object, make_corr_morphism, verify_iso)
+from kcorr.corrcat import (graph_object, identity_morphism, identity_object,
+                           make_corr_morphism)
 from kcorr.errors import InvalidMorphism
 from kcorr.exactalg import (Ambient, Matrix, PrimeField, QElem, QQ, buchberger,
                             parse_poly, scalar_value)
@@ -27,25 +26,15 @@ from kcorr.functors import (box_mor, box_product, pullback_aut, pullback_obj,
                             aut_morphism_from_torus, torus_morphism_from_aut)
 from kcorr.k0 import (K0Ledger, k0_compose, k0_register,
                       pt_conjugation_certificate, rank)
-from kcorr.laws import law_suite
+from kcorr.laws import LAW_BOUNDS as BOUNDS, law_pool, law_suite
 from kcorr.pairing import (compose_morphisms, compose_objects,
                            strict_associativity_check)
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
                              random_morphism_from, random_object, sample_map)
-from kcorr.varieties import (compose_maps, gm_power, identity_map,
-                             make_morphism, make_variety, point, product,
+from kcorr.varieties import (compose_maps, gm_power, identity_map, point,
                              product_morphism)
 
-BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.05)
-
 FIELDS = (PrimeField(5), QQ)
-
-
-def _pool(field):
-    return (point(field),
-            make_variety("A1", ["x"], [], field),
-            make_variety("TwoPts", ["y"], ["y^2 - y"], field),
-            gm_power(1, field))
 
 
 def _report(criterion: int, text: str):
@@ -64,7 +53,7 @@ def test_criterion_01_law_suite_green():
 def test_criterion_02_strict_associativity():
     checked = 0
     for field in FIELDS:
-        pool = _pool(field)
+        pool = law_pool(field)
         rng = random.Random(derive_seed("acc-assoc", field.name))
         while checked < (100 if field is FIELDS[0] else 200):
             w, v, u, x = (rng.choice(pool) for _ in range(4))
@@ -80,7 +69,7 @@ def test_criterion_02_strict_associativity():
 def test_criterion_03_unit_laws():
     checked = 0
     for field in FIELDS:
-        pool = _pool(field)
+        pool = law_pool(field)
         rng = random.Random(derive_seed("acc-units", field.name))
         for _ in range(100):
             u, x = rng.choice(pool), rng.choice(pool)
@@ -100,7 +89,7 @@ def test_criterion_03_unit_laws():
 def test_criterion_04_graph_functoriality():
     checked = 0
     for field in FIELDS:
-        pool = _pool(field)
+        pool = law_pool(field)
         rng = random.Random(derive_seed("acc-graph", field.name))
         for _ in range(50):
             a, b, c = (rng.choice(pool) for _ in range(3))
@@ -117,7 +106,7 @@ def test_criterion_04_graph_functoriality():
 def test_criterion_05_box_product_laws():
     counts = {"compose": 0, "graph": 0, "diagram": 0, "square": 0}
     for field in FIELDS:
-        pool = _pool(field)
+        pool = law_pool(field)
         rng = random.Random(derive_seed("acc-box", field.name))
         for _ in range(50):
             f1 = sample_map(rng.choice(pool), rng.choice(pool), rng)
@@ -154,7 +143,7 @@ def test_criterion_05_box_product_laws():
 def test_criterion_06_torus_isomorphism():
     checked = 0
     for field in FIELDS:
-        pool = _pool(field)
+        pool = law_pool(field)
         rng = random.Random(derive_seed("acc-torus", field.name))
         for _ in range(50):
             arity = rng.choice((1, 2))
@@ -184,7 +173,7 @@ def test_criterion_06_torus_isomorphism():
 def test_criterion_07_affine_comparison():
     agreements = 0
     for field in FIELDS:
-        pool = _pool(field)
+        pool = law_pool(field)
         rng = random.Random(derive_seed("acc-compare", field.name))
         while agreements < (150 if field is FIELDS[0] else 300):
             x, y = rng.choice(pool), rng.choice(pool)
@@ -214,7 +203,7 @@ def test_criterion_07_affine_comparison():
 def test_criterion_08_strict_base_change():
     checked = 0
     for field in FIELDS:
-        pool = _pool(field)
+        pool = law_pool(field)
         rng = random.Random(derive_seed("acc-bigbim", field.name))
         for _ in range(50):
             x, y = rng.choice(pool), rng.choice(pool)
@@ -294,8 +283,7 @@ def test_criterion_10_pairing_matches_kronecker_oracle(monkeypatch):
     assert checked == 100
 
     # mutation: a shuffled flattening must be caught by the interchange law
-    from test_laws import _shuffled_flatten
-    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    monkeypatch.setattr(pairing, "flatten_blocks", shuffled_flatten)
     report = law_suite(seed=42, cases=25, fields=(PrimeField(5),),
                        laws=("pairing-bifunctor",))
     monkeypatch.undo()

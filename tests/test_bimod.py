@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from mutants import doubled_flatten
 from oracles import entrywise_pull
+from kcorr import pairing
 from kcorr.bimod import (big_lift, big_pullback, big_pushforward,
                          bimodule_hom_valid, from_bimodule, make_presentation,
                          restrict_base, to_bimodule)
@@ -12,22 +14,17 @@ from kcorr.corrcat import (direct_sum, eval_nonunital, make_corr_morphism,
 from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
                           ShapeError)
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ
-from kcorr.laws import Ctx
+from kcorr.laws import Ctx, law_pool
 from kcorr.randomgen import (GenBounds, derive_seed, random_morphism_from,
-                             random_object, random_endo_matrix, sample_map)
-from kcorr.varieties import (compose_maps, gm_power, identity_map,
-                             make_morphism, make_variety, point)
+                             random_object, sample_map)
+from kcorr.varieties import compose_maps, identity_map, make_morphism
 
 BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.0)
 
 
 @pytest.fixture
 def pool():
-    pt = point(QQ)
-    line = make_variety("A1", ["x"], [], QQ)
-    two = make_variety("TwoPts", ["y"], ["y^2 - y"], QQ)
-    gm = gm_power(1, QQ)
-    return pt, line, two, gm
+    return law_pool(QQ)
 
 
 def _twopts_object(pt, two):
@@ -246,11 +243,10 @@ def test_chained_restriction_pulls_back_once(pool, monkeypatch):
 
 
 def test_corrupted_restriction_is_an_internal_violation(pool, monkeypatch):
-    from test_functors import _corrupt_flattening
     pt, line, two, gm = pool
     obj = random_object(line, two, seed=10, bounds=BOUNDS)
     assert not obj.p.is_zero()
-    _corrupt_flattening(monkeypatch)
+    monkeypatch.setattr(pairing, "flatten_blocks", doubled_flatten)
     with debug_validation():
         with pytest.raises(InternalLawViolation, match="derived CorrObject"):
             restrict_base(big_pullback(make_morphism(pt, line, ["2"]), big_lift(obj)))

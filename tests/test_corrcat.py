@@ -13,18 +13,17 @@ from kcorr.cli import main
 from kcorr.corrcat import _trusted_object
 from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
                           InvalidObject, ShapeError, UnknownVariable)
-from kcorr.exactalg import Matrix, QElem, QQ, PrimeField
+from kcorr.exactalg import Matrix, QElem, QQ
+from kcorr.laws import law_pool
 from kcorr.randomgen import GenBounds, random_object, random_morphism_from
-from kcorr.varieties import make_morphism, make_variety, point
+from kcorr.varieties import make_morphism, make_variety
 
 BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.0)
 
 
 @pytest.fixture
 def setting():
-    pt = point(QQ)
-    line = make_variety("A1", ["x"], [], QQ)
-    two = make_variety("TwoPts", ["y"], ["y^2 - y"], QQ)
+    pt, line, two, _ = law_pool(QQ)
     b = pt.gb
     one, zero = QElem.one(b), QElem.zero(b)
     obj = make_correspondence(pt, two, 2, Matrix.identity(b, 2),
@@ -227,8 +226,7 @@ def test_bad_input_stays_a_user_error(setting, tmp_path, capsys):
 
 
 def _input_check_world():
-    pt, line = point(QQ), make_variety("A1", ["x"], [], QQ)
-    two = make_variety("TwoPts", ["y"], ["y^2 - y"], QQ)
+    pt, line, two, _ = law_pool(QQ)
     plane = make_variety("A2", ["x", "y"], [], QQ)
     b = pt.gb
     one, zero = QElem.one(b), QElem.zero(b)

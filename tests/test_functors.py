@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from mutants import doubled_flatten
 from oracles import entrywise_pull, term_by_term_corner_eval
 from kcorr.config import debug_validation
-from kcorr.corrcat import (CorrObject, graph_object, identity_object,
-                           make_correspondence, make_corr_morphism, zero_object)
+from kcorr.corrcat import (CorrObject, graph_object, make_correspondence,
+                           make_corr_morphism, zero_object)
 from kcorr.errors import (InternalLawViolation, InvalidArity, InvalidCertificate,
                           ShapeError)
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ
@@ -17,23 +18,20 @@ from kcorr.functors import (aut_morphism_from_torus, box_mor, box_product,
                             to_automorphism_object, to_torus_object,
                             torus_morphism_from_aut)
 from kcorr import functors, pairing
+from kcorr.laws import law_pool
 from kcorr.pairing import compose_morphisms, compose_objects
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
                              random_morphism_from, random_object, sample_map)
 from kcorr.varieties import (VarMorphism, compose_maps, gm_power, identity_map,
-                             make_morphism, make_variety, point, product,
-                             product_morphism, split_projections, split_torus)
+                             make_morphism, point, product, product_morphism,
+                             split_projections, split_torus)
 
 BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.0)
 
 
 @pytest.fixture
 def pool():
-    pt = point(QQ)
-    line = make_variety("A1", ["x"], [], QQ)
-    two = make_variety("TwoPts", ["y"], ["y^2 - y"], QQ)
-    gm = gm_power(1, QQ)
-    return pt, line, two, gm
+    return law_pool(QQ)
 
 
 def test_pullback_identity_is_data_identity(pool):
@@ -96,9 +94,7 @@ def test_graph_composition_matches_entrywise_oracles(field):
     the target coordinates, on every pair of base and target in the pool.
     The box product, on its idempotent, X'-actions and morphisms, and the
     pullback of automorphism witnesses are entrywise substitution too."""
-    varieties = (point(field), make_variety("A1", ["x"], [], field),
-                 make_variety("TwoPts", ["y"], ["y^2 - y"], field),
-                 gm_power(1, field))
+    varieties = law_pool(field)
     rng = random.Random(derive_seed("entrywise-oracle", field.name))
     for x in varieties:
         for y in varieties:
@@ -295,22 +291,11 @@ def _corrupt_pullbacks(monkeypatch):
                         lambda f, mats: [m + m for m in true_pull(f, mats)])
 
 
-def _corrupt_flattening(monkeypatch):
-    """Make every flattened block matrix of the pairing twice the true one."""
-    true_flatten = pairing.flatten_blocks
-
-    def doubled(blocks):
-        mat = true_flatten(blocks)
-        return mat + mat
-
-    monkeypatch.setattr(pairing, "flatten_blocks", doubled)
-
-
 def test_corrupted_pullback_is_an_internal_violation(pool, monkeypatch):
     pt, line, *_ = pool
     phi = graph_object(make_morphism(line, line, ["x^2"]))
     ev1 = make_morphism(pt, line, ["1"])
-    _corrupt_flattening(monkeypatch)
+    monkeypatch.setattr(pairing, "flatten_blocks", doubled_flatten)
     # release mode trusts the value
     assert pullback_obj(ev1, phi).p != entrywise_pull(ev1, phi.p)
     with debug_validation():
@@ -348,11 +333,9 @@ def _split_by_pushforward(obj):
 @pytest.mark.parametrize("debug", [False, True], ids=["release", "debug"])
 @pytest.mark.parametrize("field", [PrimeField(5), QQ], ids=["F5", "Q"])
 def test_torus_split_equals_pushforward_definition(field, debug):
-    pt = point(field)
-    line = make_variety("A1", ["x"], [], field)
-    two = make_variety("TwoPts", ["y"], ["y^2 - y"], field)
+    pt, line, two, gm = law_pool(field)
     rng = random.Random(derive_seed("split-oracle", field.name))
-    objs = [random_object(line, gm_power(1, field), rng=rng, bounds=BOUNDS)
+    objs = [random_object(line, gm, rng=rng, bounds=BOUNDS)
             for _ in range(4)]  # a bare Gm1 target
     for arity in (1, 2):
         for y in (pt, two, product(line, two)):  # none, one, two base factors

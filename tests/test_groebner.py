@@ -7,9 +7,8 @@ import pytest
 
 from oracles import canonical, field_ops, naive_buchberger, poly_to_dict
 from kcorr.errors import AmbientMismatch
-from kcorr.exactalg import (Ambient, GroebnerBasis, Poly, PrimeField, QQ,
-                            buchberger, groebner, normal_form, parse_poly,
-                            quotient_eq)
+from kcorr.exactalg import (Ambient, Poly, PrimeField, QQ, buchberger,
+                            groebner, normal_form, parse_poly, quotient_eq)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_groebner.json").read_text())
 

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from mutants import shuffled_flatten
 from kcorr import functors, laws, pairing
 from kcorr.corrcat import CorrMorphism, CorrObject
-from kcorr.exactalg import Matrix, PrimeField, QQ
+from kcorr.exactalg import PrimeField, QQ
 from kcorr.laws import LAW_NAMES, law_suite
 from kcorr.session import parse_session
 
@@ -93,27 +94,8 @@ def test_json_lines_shape():
     assert "summary" in json.loads(lines[1])
 
 
-def _shuffled_flatten(blocks):
-    """Wrong interleaving: outer index varies fastest."""
-    blocks = [list(row) for row in blocks]
-    nrows = len(blocks)
-    ncols = len(blocks[0])
-    inner = blocks[0][0].nrows
-    basis = blocks[0][0].basis
-    from kcorr.exactalg import QElem
-    z = QElem.zero(basis)
-    out = [[z] * (ncols * inner) for _ in range(nrows * inner)]
-    for a in range(nrows):
-        for b in range(ncols):
-            blk = blocks[a][b]
-            for i in range(inner):
-                for j in range(inner):
-                    out[i * nrows + a][j * ncols + b] = blk.rows[i][j]
-    return Matrix(basis, out, nrows * inner, ncols * inner)
-
-
 def test_mutated_flatten_caught_by_interchange_within_25_cases(monkeypatch):
-    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    monkeypatch.setattr(pairing, "flatten_blocks", shuffled_flatten)
     report = law_suite(seed=42, cases=25, fields=(PrimeField(5),),
                        laws=("pairing-bifunctor",))
     assert not report.ok
@@ -125,7 +107,7 @@ def test_mutated_flatten_caught_by_interchange_within_25_cases(monkeypatch):
 
 
 def test_mutated_flatten_reports_every_failing_check_of_a_case(monkeypatch):
-    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    monkeypatch.setattr(pairing, "flatten_blocks", shuffled_flatten)
     report = law_suite(seed=42, cases=25, fields=(PrimeField(5),),
                        laws=("pairing-bifunctor",))
     case_8 = [f.check for f in report.failures if f.case_index == 8]
@@ -134,7 +116,7 @@ def test_mutated_flatten_reports_every_failing_check_of_a_case(monkeypatch):
 
 
 def test_json_lines_report_of_failing_checks(monkeypatch):
-    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    monkeypatch.setattr(pairing, "flatten_blocks", shuffled_flatten)
     report = law_suite(seed=42, cases=25, fields=(PrimeField(5),),
                        laws=("pairing-bifunctor",))
     *results, summary = map(json.loads, report.to_json_lines().splitlines())
@@ -171,7 +153,7 @@ def test_case_setup_error_is_listed_after_the_failed_checks(monkeypatch):
 
 
 def test_failure_reports_carry_reproduction_data(monkeypatch):
-    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    monkeypatch.setattr(pairing, "flatten_blocks", shuffled_flatten)
     report = law_suite(seed=42, cases=10, fields=(PrimeField(5),),
                        laws=("pairing-bifunctor",))
     assert report.failures
@@ -193,7 +175,7 @@ def test_failure_inputs_are_runnable_sessions(monkeypatch):
         cases.append((inputs, text))
         return text
 
-    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    monkeypatch.setattr(pairing, "flatten_blocks", shuffled_flatten)
     monkeypatch.setattr(laws, "serialize_case", recording)
     report = law_suite(seed=42, cases=25, fields=(PrimeField(5),),
                        laws=("pairing-bifunctor",))

@@ -1,41 +1,33 @@
 import random
-from fractions import Fraction
 
 import pytest
 
+from mutants import doubled_flatten, shuffled_flatten
 from oracles import dense_kron
-from test_laws import _shuffled_flatten
 from kcorr import corrcat, pairing
 from kcorr.config import debug_validation
-from kcorr.corrcat import (compose_vertical, direct_sum, graph_object,
+from kcorr.corrcat import (compose_vertical, graph_object,
                            identity_morphism, identity_object,
                            make_corr_morphism, make_correspondence,
                            zero_morphism, zero_object, verify_iso)
 from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
                           ShapeError)
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ, scalar_value
+from kcorr.laws import law_pool
 from kcorr.pairing import (compose_morphisms, compose_objects,
                            flatten_blocks, strict_associativity_check,
                            sum_split_certificate_inner,
                            sum_split_certificate_outer)
 from kcorr.randomgen import (GenBounds, random_morphism_from, random_object,
                              derive_seed)
-from kcorr.varieties import (compose_maps, gm_power, make_morphism,
-                             make_variety, point)
+from kcorr.varieties import compose_maps, gm_power, make_morphism
 
 BOUNDS = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.0)
 
 
 @pytest.fixture
 def pools():
-    out = {}
-    for field in (QQ, PrimeField(5)):
-        pt = point(field)
-        line = make_variety("A1", ["x"], [], field)
-        two = make_variety("TwoPts", ["y"], ["y^2 - y"], field)
-        gm = gm_power(1, field)
-        out[field] = (pt, line, two, gm)
-    return out
+    return {field: law_pool(field) for field in (QQ, PrimeField(5))}
 
 
 def _scalar_matrix(basis, rows):
@@ -240,6 +232,18 @@ def test_sum_split_certificates(pools):
             assert verify_iso(cert2)
 
 
+def test_wrong_flatten_caught_by_outer_sum_certificate(pools, monkeypatch):
+    pt, line, two, gm = pools[QQ]
+    rng = random.Random(derive_seed("outer-sumcert", QQ.name))
+    triples = [[random_object(x, y, rng=rng, bounds=BOUNDS)
+                for x, y in ((line, two), (two, gm), (two, gm))]
+               for _ in range(10)]
+    monkeypatch.setattr(pairing, "flatten_blocks", shuffled_flatten)
+    with pytest.raises(InternalLawViolation, match="split on the nose"):
+        for first, second_a, second_b in triples:
+            sum_split_certificate_outer(first, second_a, second_b)
+
+
 def _composable_pair(pools):
     """Morphisms m1 of (pt, pt) objects and m2 of (pt, A1) objects, n = 2
     each; m1 is not scalar and m2's generator image has distinct entries."""
@@ -262,7 +266,7 @@ def _forbid_make(monkeypatch):
 
 def test_composites_are_trusted_in_release_mode(pools, monkeypatch):
     inner, outer, m1, m2 = _composable_pair(pools)
-    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    monkeypatch.setattr(pairing, "flatten_blocks", shuffled_flatten)
     _forbid_make(monkeypatch)
     assert compose_objects(inner, outer).n == 4
     composite = compose_morphisms(m2, m1)
@@ -273,17 +277,13 @@ def test_composites_are_trusted_in_release_mode(pools, monkeypatch):
 
 def test_broken_composites_are_internal_violations_in_debug_mode(pools, monkeypatch):
     inner, outer, m1, m2 = _composable_pair(pools)
-    monkeypatch.setattr(pairing, "flatten_blocks", _shuffled_flatten)
+    monkeypatch.setattr(pairing, "flatten_blocks", shuffled_flatten)
     with debug_validation():
         with pytest.raises(InternalLawViolation, match="derived CorrMorphism"):
             compose_morphisms(m2, m1)
     # the shuffled flattening conjugates every block matrix by one
     # permutation, so composite objects stay valid; doubling them does not
-    def doubled(blocks):
-        mat = flatten_blocks(blocks)
-        return mat + mat
-
-    monkeypatch.setattr(pairing, "flatten_blocks", doubled)
+    monkeypatch.setattr(pairing, "flatten_blocks", doubled_flatten)
     with debug_validation():
         with pytest.raises(InternalLawViolation, match="derived CorrObject"):
             compose_objects(inner, outer)

@@ -6,6 +6,7 @@ from kcorr.corrcat import make_correspondence
 from kcorr.errors import GenerationFailed
 from kcorr.exactalg import PrimeField, QQ
 from kcorr.k0 import rank
+from kcorr.laws import law_pool
 from kcorr.randomgen import (GenBounds, _breaks_at, _scalar_points, _test_points,
                              derive_seed, random_aut_object, random_morphism_from,
                              random_object, random_poly, sample_map,
@@ -31,12 +32,8 @@ def test_same_seed_same_object():
 def test_generated_objects_always_validate():
     # make_correspondence re-checks every law; reconstruction must succeed
     for field in (QQ, PrimeField(5)):
-        pt = point(field)
-        line = make_variety("A1", ["x"], [], field)
-        two = make_variety("TwoPts", ["y"], ["y^2 - y"], field)
-        gm = gm_power(1, field)
         rng = random.Random(derive_seed("validate", field.name))
-        pool = (pt, line, two, gm)
+        pool = law_pool(field)
         for _ in range(60):
             x, y = rng.choice(pool), rng.choice(pool)
             obj = random_object(x, y, rng=rng)

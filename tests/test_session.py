@@ -8,11 +8,11 @@ from kcorr.cli import main
 from kcorr.errors import (InvalidArity, InvalidObject, KcorrError, ParseError,
                           ResolveError, UnknownVariable)
 from kcorr.exactalg import PrimeField, QQ
-from kcorr.laws import serialize_case
+from kcorr.laws import law_pool, serialize_case
 from kcorr.randomgen import (GenBounds, derive_seed, random_aut_object,
                              random_morphism_from, random_object, sample_map)
 from kcorr.session import Session, parse_session, print_session
-from kcorr.varieties import gm_power, make_variety, point
+from kcorr.varieties import make_variety, point
 
 TWOPTS_FIXTURE = """
 format 1
@@ -127,17 +127,12 @@ def test_field_must_precede_declarations():
         parse_session("variety V { vars = []; ideal = [] }\nfield Q\n")
 
 
-def _pool(field):
-    return (point(field), make_variety("A1", ["x"], [], field),
-            make_variety("TwoPts", ["y"], ["y^2 - y"], field), gm_power(1, field))
-
-
 SMALL = GenBounds(max_n=2, max_deg=1, max_elementary=1, zero_weight=0.1)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 def test_map_and_aut_inputs_round_trip_through_serialize_case(field):
-    pt, line, twopts, gm = _pool(field)
+    pt, line, twopts, gm = law_pool(field)
     rng = random.Random(derive_seed("serialize", field.name))
     f = sample_map(line, gm, rng, 1)
     aut = random_aut_object(gm, twopts, 2, rng=rng, bounds=SMALL)
@@ -154,7 +149,7 @@ def test_map_and_aut_inputs_round_trip_through_serialize_case(field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
 @pytest.mark.parametrize("seed", range(3))
 def test_declared_random_values_round_trip(field, seed):
-    pool = _pool(field)
+    pool = law_pool(field)
     rng = random.Random(derive_seed("declare", field.name, seed))
     s = Session(field=field)
     for i in range(4):
