@@ -26,31 +26,41 @@ def corner_eval(p: Matrix, action_mats, polys) -> list[Matrix]:
     result is summed entrywise as a linear combination of normal forms, so
     it needs no further reduction.
 
-    The call builds what its polynomials share once: the powers A_i^e, each
-    from the one below; the corner product p * A^a of each monomial a, kept
-    as its nonzero entries; and one n x n zero matrix, which every zero
-    polynomial returns.
+    The call builds what its polynomials share once: the corner product
+    p * A^a of each monomial a, from its prefix as (p * A^(a - e_i)) * A_i
+    with i the last variable of a, so every prefix is kept for the
+    monomials that extend it; each corner product's nonzero entries; and
+    one n x n zero matrix, which every zero polynomial returns.
     """
     n = p.nrows
     basis = p.basis
     ambient = basis.ambient
     add, mul = ambient.field.add, ambient.field.mul
     zero_block = Matrix.zeros(basis, n, n)
-    powers = [[a] for a in action_mats]
+    products = {(0,) * len(action_mats): p}
     corners: dict = {}
+
+    def product(mono):
+        term = products.get(mono)
+        if term is None:
+            # strip last factors until a built prefix, then multiply back
+            steps = []
+            prefix = list(mono)
+            while term is None:
+                i = max(k for k, e in enumerate(prefix) if e)
+                steps.append(i)
+                prefix[i] -= 1
+                term = products.get(tuple(prefix))
+            for i in reversed(steps):
+                prefix[i] += 1
+                term = products[tuple(prefix)] = term * action_mats[i]
+        return term
 
     def corner(mono):
         entries = corners.get(mono)
         if entries is None:
-            term = p
-            for i, e in enumerate(mono):
-                if e:
-                    chain = powers[i]
-                    while len(chain) < e:
-                        chain.append(chain[-1] * action_mats[i])
-                    term = term * chain[e - 1]
             entries = corners[mono] = [((i, j), entry.rep.terms)
-                                       for i, row in enumerate(term.rows)
+                                       for i, row in enumerate(product(mono).rows)
                                        for j, entry in enumerate(row) if entry.rep.terms]
         return entries
 

@@ -78,20 +78,42 @@ def _interreduce(gens: list) -> list:
 
 
 class GroebnerBasis:
-    """The reduced basis of an ideal; generators sorted for canonicity."""
+    """The reduced basis of an ideal; generators sorted for canonicity.
 
-    __slots__ = ("ambient", "gens", "_hash")
+    Only :func:`buchberger` builds one, so ``gens`` is always a reduced
+    basis.  The normal form modulo a reduced basis is k-linear (Becker and
+    Weispfenning, *Gröbner Bases*, 1993, ch. 5), so :meth:`normal_form`
+    sums ``c * NF(x^m)`` over the terms of its input and reduces each
+    monomial once per basis: ``_monomial_nf`` keeps ``NF(x^m)`` as a term
+    map, filled on first use.
+    """
+
+    __slots__ = ("ambient", "gens", "_hash", "_monomial_nf")
 
     def __init__(self, ambient: Ambient, gens):
         self.ambient = ambient
         key = ambient.key
         self.gens = tuple(sorted(gens, key=lambda g: key(g.leading_monomial())))
         self._hash = None
+        self._monomial_nf: dict = {}
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ambient != self.ambient:
             raise AmbientMismatch(f"{f.ambient!r} vs basis over {self.ambient!r}")
-        return reduce_poly(f, self.gens)
+        if not self.gens:
+            return f
+        ambient, gens, memo = self.ambient, self.gens, self._monomial_nf
+        field = ambient.field
+        add, mul, one = field.add, field.mul, field.one
+        acc: dict = {}
+        for mono, coeff in f.terms.items():
+            image = memo.get(mono)
+            if image is None:
+                image = memo[mono] = reduce_poly(Poly(ambient, {mono: one}), gens).terms
+            for m, c in image.items():
+                prev = acc.get(m)
+                acc[m] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
+        return Poly(ambient, acc)
 
     def __eq__(self, other):
         if self is other:

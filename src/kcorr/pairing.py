@@ -86,17 +86,28 @@ def pull_matrices(f, mats) -> list[Matrix]:
     return _eval_blocks_flat(graph_object(f), mats)
 
 
+def _check_middle(first: CorrObject, second: CorrObject):
+    if first.Y != second.X:
+        raise AmbientMismatch(
+            f"middle variety mismatch: {first.Y.name} vs {second.X.name}")
+
+
+def _composite(first: CorrObject, second: CorrObject, values) -> CorrObject:
+    """The composite object from the flattened evaluations of ``second``'s
+    idempotent and generator images through ``first``."""
+    p, *gens = values
+    return _trusted_object(first.X, second.Y, second.n * first.n, p, tuple(gens))
+
+
 def compose_objects(first: CorrObject, second: CorrObject) -> CorrObject:
     """Pairing on objects: ``first`` over (V,U), ``second`` over (U,X).
 
     The result lives over (V,X) with size second.n * first.n.  It is a
     derived value, checked only in debug mode.
     """
-    if first.Y != second.X:
-        raise AmbientMismatch(
-            f"middle variety mismatch: {first.Y.name} vs {second.X.name}")
-    p, *gens = _eval_blocks_flat(first, (second.p, *second.gen_images))
-    return _trusted_object(first.X, second.Y, second.n * first.n, p, tuple(gens))
+    _check_middle(first, second)
+    return _composite(first, second,
+                      _eval_blocks_flat(first, (second.p, *second.gen_images)))
 
 
 def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> CorrMorphism:
@@ -106,15 +117,31 @@ def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> Corr
     the inner *target* object, flatten, and multiply by a block-diagonal of
     copies of the inner matrix.  Over a point base this is exactly the
     Kronecker product of the two matrices in the flattening's index order.
+
+    The endpoints are composed here, not through :func:`compose_objects`:
+    the source endpoint's entries go through the inner source in one
+    ``corner_eval`` call, and the target endpoint's entries, followed by the
+    outer matrix's, through the inner target in one more.  When the inner
+    source and target are one object (an identity or an endomorphism) all
+    of them go through one call.
     """
-    src = compose_objects(first_mor.src, second_mor.src)
-    dst = compose_objects(first_mor.dst, second_mor.dst)
-    [outer_through_inner] = _eval_blocks_flat(first_mor.dst, [second_mor.mat])
-    basis = first_mor.src.X.gb
+    inner_src, inner_dst = first_mor.src, first_mor.dst
+    outer_src, outer_dst = second_mor.src, second_mor.dst
+    _check_middle(inner_src, outer_src)
+    src_mats = (outer_src.p, *outer_src.gen_images)
+    dst_mats = (outer_dst.p, *outer_dst.gen_images, second_mor.mat)
+    if inner_src is inner_dst:
+        values = _eval_blocks_flat(inner_src, src_mats + dst_mats)
+        src_values, dst_values = values[:len(src_mats)], values[len(src_mats):]
+    else:
+        src_values = _eval_blocks_flat(inner_src, src_mats)
+        dst_values = _eval_blocks_flat(inner_dst, dst_mats)
+    *dst_values, outer_through_inner = dst_values
+    src = _composite(inner_src, outer_src, src_values)
+    dst = _composite(inner_dst, outer_dst, dst_values)
     inner_copies = Matrix.block_diag(
-        basis, tuple(first_mor.mat for _ in range(second_mor.src.n)))
-    mat = outer_through_inner * inner_copies
-    return _trusted_morphism(src, dst, mat)
+        inner_src.X.gb, tuple(first_mor.mat for _ in range(outer_src.n)))
+    return _trusted_morphism(src, dst, outer_through_inner * inner_copies)
 
 
 def strict_associativity_check(phi1: CorrObject, phi2: CorrObject,

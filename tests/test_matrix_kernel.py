@@ -1,25 +1,29 @@
 """The sparse matrix product and corner evaluation against dense oracles.
 
 Also counts the corner evaluations each composition and pushforward makes:
-one batch call each, carrying every entry the operation evaluates.
+one batch call per inner object, carrying every entry evaluated through it.
 
 Rings: Gm1 = k[t1, s1]/(t1*s1 - 1) and T3 = k[y]/(y^3 - y), over F5 and Q.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import dense_matrix_product, term_by_term_corner_eval
 from kcorr import functors, pairing
-from kcorr.corrcat import CorrObject, corner_eval
+from kcorr.corrcat import CorrObject, corner_eval, identity_morphism
 from kcorr.errors import AmbientMismatch, ShapeError
-from kcorr.exactalg import GroebnerBasis, Matrix, Poly, PrimeField, QElem, QQ
+from kcorr.exactalg import (Ambient, GroebnerBasis, Matrix, Poly, PrimeField, QElem,
+                            QQ, buchberger, parse_poly)
+from kcorr.exactalg.groebner import reduce_poly
 from kcorr.pairing import (_eval_blocks_flat, compose_morphisms, compose_objects,
                            flatten_blocks)
 from kcorr.randomgen import GenBounds, random_morphism_from, random_object, sample_map
-from kcorr.varieties import gm_power, make_variety
+from kcorr.varieties import gm_power, make_variety, point
 
 F5 = PrimeField(5)
 RINGS = {
@@ -29,6 +33,7 @@ RINGS = {
     "T3-Q": make_variety("T3", ["y"], ["y^3 - y"], QQ),
 }
 NAMES = sorted(RINGS)
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_groebner.json").read_text())
 SETTINGS = settings(max_examples=30, deadline=None)
 
 
@@ -118,7 +123,7 @@ def test_corner_eval_matches_term_by_term(name, data):
     variety = RINGS[name]
     n = data.draw(st.integers(0, 3))
     p, mats = draw_square_setup(data, variety, n)
-    poly = data.draw(polys(variety))
+    poly = data.draw(polys(variety, max_exp=6))
     assert corner_eval(p, mats, [poly]) == [term_by_term_corner_eval(p, mats, poly)]
 
 
@@ -146,15 +151,24 @@ def test_shared_power_table_matches_fresh_tables(name, data):
     assert _eval_blocks_flat(obj, [p, outer]) == [p_flat, flat]
 
 
-@pytest.mark.parametrize("name", ["Gm1-F5", "Gm1-Q"])
-def test_shared_table_keeps_monomials_apart_from_powers(name):
-    """The monomial s1^2 = (0, 2) must not be read as the power A_t1^2."""
-    variety = RINGS[name]
-    gb, ambient = variety.gb, variety.ambient
+def _noncommuting_setup(variety):
+    """A non-idempotent p and two action matrices that do not commute, so a
+    corner product is right only when its factors come in variable order."""
+    gb = variety.gb
     one, zero, t, s = (QElem.one(gb), QElem.zero(gb), variety.var("t1"),
                        variety.var("s1"))
     p = Matrix(gb, [[one, t], [zero, one.scale(variety.field.from_int(2))]])
     mats = [Matrix(gb, [[t, one], [zero, s]]), Matrix(gb, [[s, zero], [one, t]])]
+    assert mats[0] * mats[1] != mats[1] * mats[0]
+    return p, mats
+
+
+@pytest.mark.parametrize("name", ["Gm1-F5", "Gm1-Q"])
+def test_shared_table_keeps_monomials_apart_from_powers(name):
+    """The monomial s1^2 = (0, 2) must not be read as the power A_t1^2."""
+    variety = RINGS[name]
+    ambient = variety.ambient
+    p, mats = _noncommuting_setup(variety)
 
     def mono(a, b):
         return Poly(ambient, {(a, b): variety.field.one})
@@ -168,6 +182,40 @@ def test_shared_table_keeps_monomials_apart_from_powers(name):
         single = [corner_eval(p, mats, [f])[0] for f in order]
         want = oracle if order is entries else oracle[::-1]
         assert batch == single == want
+
+
+@pytest.mark.parametrize("name", ["Gm1-F5", "Gm1-Q"])
+@pytest.mark.parametrize("exponents", [
+    [(6, 6), (5, 5)],
+    [(6, 0), (0, 6)],
+    [(6, 6), (6, 0), (0, 6), (5, 5), (0, 0)],
+], ids=["t6s6-t5s5", "t6-s6", "mixed"])
+def test_sparse_high_monomials_match_term_by_term(name, exponents):
+    """Batches where a corner product's prefixes and the powers of each
+    action matrix are different sets of products."""
+    variety = RINGS[name]
+    p, mats = _noncommuting_setup(variety)
+    entries = [Poly(variety.ambient, {a: variety.field.from_int(k + 1)})
+               for k, a in enumerate(exponents)]
+    oracle = [term_by_term_corner_eval(p, mats, f) for f in entries]
+    for order, want in ((entries, oracle), (entries[::-1], oracle[::-1])):
+        assert corner_eval(p, mats, order) == want
+        assert [corner_eval(p, mats, [f])[0] for f in order] == want
+    mixed = sum(entries[1:], entries[0])
+    assert corner_eval(p, mats, [mixed]) == [term_by_term_corner_eval(p, mats, mixed)]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_corner_eval_into_a_point(name):
+    """A target with no variables: every polynomial is a constant c, sent to c*p."""
+    variety = RINGS[name]
+    pt = point(variety.field)
+    p = Matrix(variety.gb, [[variety.var(variety.vars[0]), QElem.one(variety.gb)],
+                            [QElem.zero(variety.gb), QElem.one(variety.gb)]])
+    entries = [Poly.const(pt.ambient, 3), Poly.zero(pt.ambient), Poly.one(pt.ambient)]
+    got = corner_eval(p, [], entries)
+    assert got == [term_by_term_corner_eval(p, [], f) for f in entries]
+    assert got == [p.scale(variety.field.from_int(3)), Matrix.zeros(variety.gb, 2, 2), p]
 
 
 def _count_corner_evals(monkeypatch, module):
@@ -201,11 +249,17 @@ def test_each_composition_and_pushforward_makes_one_corner_eval(name, monkeypatc
               for row in second.p.rows]
     assert composite.p == flatten_blocks(want_p)
 
+    # one call for the source endpoint through the inner source, then one
+    # for the target endpoint and the matrix through the inner target
+    endpoint = (1 + len(second.gen_images)) * second.n ** 2
     batches.clear()
     compose_morphisms(second_mor, first_mor)
-    # one call for each of the two composed endpoints, one for the matrix
-    assert len(batches) == 3
-    assert batches[-1] == second.n ** 2
+    assert batches == [endpoint, endpoint + second.n ** 2]
+
+    # an identity inner morphism: all of them through its one object
+    batches.clear()
+    compose_morphisms(second_mor, identity_morphism(first))
+    assert batches == [2 * endpoint + second.n ** 2]
 
     # composition with the graph: its unit and one 1 x 1 image per coordinate
     batches.clear()
@@ -242,6 +296,49 @@ def test_separately_built_equal_bases_compare_equal():
     a = Matrix(variety.gb, [[QElem(twin, variety.var("t1").rep)]])
     b = Matrix(twin, [[variety.var("s1")]])
     assert a * b == Matrix.identity(twin, 1) == Matrix.identity(variety.gb, 1)
+
+
+def _fresh_basis(label):
+    """A newly built basis, so its memo of monomial normal forms is empty."""
+    kind, name = label.split(":")
+    if kind == "ring":
+        return buchberger(RINGS[name].ideal_gens, RINGS[name].ambient)
+    if kind == "zero-ideal":
+        return buchberger([], Ambient(("x", "y"), QQ if name == "Q" else F5))
+    case = next(c for c in GOLDEN if c["name"] == name)
+    ambient = Ambient(tuple(case["vars"]), QQ if case["field"] == "Q" else F5,
+                      case["order"])
+    return buchberger([parse_poly(g, ambient) for g in case["gens"]], ambient)
+
+
+def _random_poly(ambient, rng, max_exp=6, max_terms=6):
+    scalars = ambient.field.elements_sample()
+    return Poly(ambient, {tuple(rng.randint(0, max_exp) for _ in ambient.vars):
+                          rng.choice(scalars) for _ in range(rng.randint(1, max_terms))})
+
+
+@pytest.mark.parametrize("label", [f"ring:{name}" for name in NAMES]
+                         + [f"golden:{case['name']}" for case in GOLDEN]
+                         + ["zero-ideal:Q", "zero-ideal:F5"])
+def test_memoized_normal_form_matches_full_reduction(label):
+    basis = _fresh_basis(label)
+    ambient = basis.ambient
+    rng = random.Random(label)
+    inputs = [Poly.zero(ambient)] + [_random_poly(ambient, rng) for _ in range(40)]
+    # multiples of the generators, whose monomial images cancel to zero
+    multiples = [g * _random_poly(ambient, rng, max_exp=3) for g in basis.gens]
+    inputs += multiples
+    want = [reduce_poly(f, basis.gens) for f in inputs]
+    assert all(f.is_zero() for f in want[len(want) - len(multiples):])
+    cold = [basis.normal_form(f) for f in inputs]
+    warm = [basis.normal_form(f) for f in inputs]
+    # an equal basis built apart keeps its own memo, filled in reverse order
+    twin = GroebnerBasis(ambient, basis.gens)
+    assert twin is not basis and twin == basis
+    twin_forms = [twin.normal_form(f) for f in inputs[::-1]][::-1]
+    for got in (cold, warm, twin_forms):
+        assert got == want
+        assert [str(f) for f in got] == [str(f) for f in want]
 
 
 def test_subtraction_and_negation():

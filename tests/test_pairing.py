@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from mutants import doubled_flatten, shuffled_flatten
 from oracles import dense_kron
 from kcorr import corrcat, pairing
 from kcorr.config import debug_validation
-from kcorr.corrcat import (compose_vertical, graph_object,
+from kcorr.corrcat import (compose_vertical, direct_sum, graph_object,
                            identity_morphism, identity_object,
                            make_corr_morphism, make_correspondence,
                            zero_morphism, zero_object, verify_iso)
@@ -196,6 +197,34 @@ def test_morphism_pairing_units_and_zero(pools):
     assert ident.mat == composite.p
     z = compose_morphisms(identity_morphism(outer), zero_morphism(inner, inner))
     assert z.mat.is_zero()
+
+
+def _swap_morphism(a, b):
+    """The isomorphism a (+) b -> b (+) a that exchanges the summands."""
+    basis = a.X.gb
+    zero = QElem.zero(basis)
+    rows = ([[zero] * a.n + list(row) for row in b.p.rows]
+            + [list(row) + [zero] * b.n for row in a.p.rows])
+    return make_corr_morphism(direct_sum(a, b), direct_sum(b, a),
+                              Matrix(basis, rows, a.n + b.n, a.n + b.n))
+
+
+def test_morphism_endpoints_are_the_composed_objects(pools):
+    """Both endpoints over every pool pair (U, X): once with an inner
+    morphism between two different objects, once with an identity, whose
+    source and target are one object."""
+    for field, pool in pools.items():
+        rng = random.Random(derive_seed("endpoints", field.name))
+        for k, (u, x) in enumerate(itertools.product(pool, repeat=2)):
+            v = pool[k % len(pool)]
+            m1 = _swap_morphism(*(random_object(v, u, rng=rng, bounds=BOUNDS)
+                                  for _ in range(2)))
+            m2 = _swap_morphism(*(random_object(u, x, rng=rng, bounds=BOUNDS)
+                                  for _ in range(2)))
+            for first in (m1, identity_morphism(m1.src)):
+                got = compose_morphisms(m2, first)
+                assert got.src == compose_objects(first.src, m2.src)
+                assert got.dst == compose_objects(first.dst, m2.dst)
 
 
 def test_interchange_randomized(pools):
