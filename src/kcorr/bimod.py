@@ -13,24 +13,33 @@ functor layer does the transport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .corrcat import CorrObject, make_correspondence, _trusted_object
 from .errors import AmbientMismatch, ShapeError
 from .exactalg import Matrix
 from .functors import pullback_obj, pushforward_obj
+from .values import Frozen, setfield
 from .varieties import AffVariety, VarMorphism, compose_maps, identity_map
 
 
-@dataclass(frozen=True)
-class BimodulePresentation:
+class BimodulePresentation(Frozen):
     """A presented k[X x Y]-module: idempotent image plus action matrices."""
 
-    X: AffVariety
-    Y: AffVariety
-    n: int
-    proj: Matrix
-    y_actions: tuple  # one matrix per Y-coordinate
+    def __init__(self, X: AffVariety, Y: AffVariety, n: int, proj: Matrix,
+                 y_actions: tuple):
+        setfield(self, "X", X)
+        setfield(self, "Y", Y)
+        setfield(self, "n", n)
+        setfield(self, "proj", proj)
+        setfield(self, "y_actions", y_actions)  # one matrix per Y-coordinate
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.X, self.Y, self.n, self.proj, self.y_actions)
+                    == (other.X, other.Y, other.n, other.proj, other.y_actions))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.X, self.Y, self.n, self.proj, self.y_actions))
 
     def __repr__(self):
         return f"BimodulePresentation({self.X.name} x {self.Y.name}, n={self.n})"
@@ -78,8 +87,7 @@ def bimodule_hom_valid(p: BimodulePresentation, q: BimodulePresentation,
 # -- strictly functorial pullback layer -----------------------------------
 
 
-@dataclass(frozen=True)
-class BigBimodule:
+class BigBimodule(Frozen):
     """A presentation together with a strict system of base changes.
 
     The value is the presentation at its root base and the composite
@@ -88,8 +96,17 @@ class BigBimodule:
     are computed from the root along the composite, never stored.
     """
 
-    root: BimodulePresentation
-    morphism: VarMorphism
+    def __init__(self, root: BimodulePresentation, morphism: VarMorphism):
+        setfield(self, "root", root)
+        setfield(self, "morphism", morphism)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.root, self.morphism) == (other.root, other.morphism)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.root, self.morphism))
 
     @property
     def base_variety(self) -> AffVariety:

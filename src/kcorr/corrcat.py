@@ -9,12 +9,11 @@ Everything is immutable and equality is equality of normal-form data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import config
 from .errors import (AmbientMismatch, InternalLawViolation, InvalidObject,
                      InvalidMorphism, KcorrError, ShapeError, UnknownVariable)
 from .exactalg import Matrix, Poly, QElem
+from .values import Frozen, setfield
 from .varieties import AffVariety, identity_map
 
 
@@ -87,38 +86,67 @@ def corner_eval(p: Matrix, action_mats, polys) -> list[Matrix]:
     return results
 
 
-@dataclass(frozen=True)
-class CorrObject:
+class CorrObject(Frozen):
     """An object of the correspondence category over (X, Y)."""
 
-    X: AffVariety
-    Y: AffVariety
-    n: int
-    p: Matrix
-    gen_images: tuple
+    def __init__(self, X: AffVariety, Y: AffVariety, n: int, p: Matrix,
+                 gen_images: tuple):
+        setfield(self, "X", X)
+        setfield(self, "Y", Y)
+        setfield(self, "n", n)
+        setfield(self, "p", p)
+        setfield(self, "gen_images", gen_images)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.X, self.Y, self.n, self.p, self.gen_images)
+                    == (other.X, other.Y, other.n, other.p, other.gen_images))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.X, self.Y, self.n, self.p, self.gen_images))
 
     def __repr__(self):
         return f"CorrObject({self.X.name} -> {self.Y.name}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class CorrMorphism:
+class CorrMorphism(Frozen):
     """An intertwining matrix between two objects over the same (X, Y)."""
 
-    src: CorrObject
-    dst: CorrObject
-    mat: Matrix
+    def __init__(self, src: CorrObject, dst: CorrObject, mat: Matrix):
+        setfield(self, "src", src)
+        setfield(self, "dst", dst)
+        setfield(self, "mat", mat)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.src, self.dst, self.mat)
+                    == (other.src, other.dst, other.mat))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.src, self.dst, self.mat))
 
     def __repr__(self):
         return f"CorrMorphism({self.src!r} => {self.dst!r})"
 
 
-@dataclass(frozen=True)
-class IsoCertificate:
+class IsoCertificate(Frozen):
     """A pair of mutually inverse morphisms; the witness k0 merges classes by."""
 
-    fwd: CorrMorphism
-    bwd: CorrMorphism
+    _fields = ("fwd", "bwd")
+
+    def __init__(self, fwd: CorrMorphism, bwd: CorrMorphism):
+        setfield(self, "fwd", fwd)
+        setfield(self, "bwd", bwd)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.fwd, self.bwd) == (other.fwd, other.bwd)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.fwd, self.bwd))
 
 
 def _check_object_data(X, Y, n, p, gen_images):

@@ -218,8 +218,6 @@ class Poly:
         return result
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
         c = self.leading_coefficient()
         return self.scale(self.ambient.field.inv(c))
 

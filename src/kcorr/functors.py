@@ -14,13 +14,12 @@ derived, so corrcat's ``_trusted`` constructors check it in debug mode only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, graph_object,
                       identity_morphism, verify_iso, _trusted, _trusted_morphism,
                       _trusted_object)
 from .errors import InvalidArity, InvalidCertificate, ShapeError
 from .pairing import compose_objects, compose_morphisms, pull_matrices
+from .values import Frozen, setfield
 from .varieties import (VarMorphism, gm_power, product, split_projections,
                         split_torus)
 
@@ -82,23 +81,45 @@ def box_mor(f: VarMorphism, mor: CorrMorphism) -> CorrMorphism:
 # -- torus actions as certified automorphisms ------------------------------
 
 
-@dataclass(frozen=True)
-class AutObject:
+class AutObject(Frozen):
     """A correspondence with commuting certified automorphisms."""
 
-    base: CorrObject
-    thetas: tuple  # pairs (theta_i, theta_i_inverse), each a CorrMorphism
+    _fields = ("base", "thetas")
+
+    def __init__(self, base: CorrObject, thetas: tuple):
+        setfield(self, "base", base)
+        # pairs (theta_i, theta_i_inverse), each a CorrMorphism
+        setfield(self, "thetas", thetas)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.thetas) == (other.base, other.thetas)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.thetas))
 
     @property
     def arity(self) -> int:
         return len(self.thetas)
 
 
-@dataclass(frozen=True)
-class AutMorphism:
-    src: AutObject
-    dst: AutObject
-    underlying: CorrMorphism
+class AutMorphism(Frozen):
+    _fields = ("src", "dst", "underlying")
+
+    def __init__(self, src: AutObject, dst: AutObject, underlying: CorrMorphism):
+        setfield(self, "src", src)
+        setfield(self, "dst", dst)
+        setfield(self, "underlying", underlying)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.src, self.dst, self.underlying)
+                    == (other.src, other.dst, other.underlying))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.src, self.dst, self.underlying))
 
 
 def make_aut_object(base: CorrObject, thetas) -> AutObject:

@@ -16,7 +16,6 @@ neither bracket separates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .corrcat import (CorrObject, IsoCertificate, direct_sum, identity_morphism,
@@ -25,6 +24,7 @@ from .errors import (AmbientMismatch, InvalidCertificate, NotIntegral,
                      UnknownObject)
 from .exactalg import rank_factorization, rank_over_fraction_field
 from .pairing import compose_objects, compose_morphisms
+from .values import Frozen, setfield
 
 
 def rank(obj: CorrObject, assume_integral: bool = False) -> int:
@@ -65,11 +65,20 @@ def pt_conjugation_certificate(a: CorrObject, b: CorrObject) -> IsoCertificate |
 # -- the ledger -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class K0Class:
+class K0Class(Frozen):
     """Canonical integer combination of partition representatives."""
 
-    terms: tuple  # ((representative id, coefficient), ...) sorted by id
+    def __init__(self, terms: tuple):
+        # ((representative id, coefficient), ...) sorted by id
+        setfield(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     def is_zero(self) -> bool:
         return not self.terms

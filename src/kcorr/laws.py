@@ -10,10 +10,8 @@ and ``kcorr run`` accept unless an input lives over a product variety.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from dataclasses import dataclass, field as dc_field
 
 from .corrcat import (add_morphisms, compose_vertical, graph_object,
                       identity_morphism, identity_object, make_corr_morphism,
@@ -27,6 +25,7 @@ from .randomgen import (GenBounds, derive_seed, random_aut_object,
                         random_endo_matrix, random_morphism_from,
                         random_object, random_scalar, sample_map)
 from .session import Session, format_decls, format_field
+from .values import Value
 from .varieties import (compose_maps, gm_power, identity_map, make_variety,
                         point, product_morphism, split_torus)
 
@@ -39,15 +38,26 @@ def law_pool(field: Field) -> tuple:
             make_variety("TwoPts", ["y"], ["y^2 - y"], field), gm_power(1, field))
 
 
-@dataclass
-class LawFailure:
-    law: str
-    check: str
-    field: str
-    case_index: int
-    seed: int
-    message: str
-    inputs: str
+class LawFailure(Value):
+    _fields = ("law", "check", "field", "case_index", "seed", "message", "inputs")
+
+    def __init__(self, law: str, check: str, field: str, case_index: int,
+                 seed: int, message: str, inputs: str):
+        self.law = law
+        self.check = check
+        self.field = field
+        self.case_index = case_index
+        self.seed = seed
+        self.message = message
+        self.inputs = inputs
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.law, self.check, self.field, self.case_index,
+                     self.seed, self.message, self.inputs)
+                    == (other.law, other.check, other.field, other.case_index,
+                        other.seed, other.message, other.inputs))
+        return NotImplemented
 
     def as_dict(self):
         return {
@@ -57,25 +67,44 @@ class LawFailure:
         }
 
 
-@dataclass
-class LawResult:
-    law: str
-    field: str
-    cases: int
-    failures: list
+class LawResult(Value):
+    _fields = ("law", "field", "cases", "failures")
+
+    def __init__(self, law: str, field: str, cases: int, failures: list):
+        self.law = law
+        self.field = field
+        self.cases = cases
+        self.failures = failures
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.law, self.field, self.cases, self.failures)
+                    == (other.law, other.field, other.cases, other.failures))
+        return NotImplemented
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class LawReport:
-    seed: int
-    cases: int
-    fields: tuple
-    results: list = dc_field(default_factory=list)
-    wall_time: float = 0.0
+class LawReport(Value):
+    _fields = ("seed", "cases", "fields", "results", "wall_time")
+
+    def __init__(self, seed: int, cases: int, fields: tuple,
+                 results: list | None = None, wall_time: float = 0.0):
+        self.seed = seed
+        self.cases = cases
+        self.fields = fields
+        self.results = [] if results is None else results
+        self.wall_time = wall_time
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.seed, self.cases, self.fields, self.results,
+                     self.wall_time)
+                    == (other.seed, other.cases, other.fields, other.results,
+                        other.wall_time))
+        return NotImplemented
 
     @property
     def failures(self):
@@ -107,6 +136,7 @@ class LawReport:
         return "\n".join(lines) + "\n"
 
     def to_json_lines(self) -> str:
+        import json  # on first use, so `kcorr run` start-up skips it
         lines = []
         for r in self.results:
             lines.append(json.dumps({

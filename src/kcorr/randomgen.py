@@ -20,9 +20,7 @@ without it.
 from __future__ import annotations
 
 import functools
-import hashlib
 import random
-from dataclasses import dataclass
 from itertools import islice, product as iter_product
 
 from .corrcat import (CorrMorphism, CorrObject, make_corr_morphism,
@@ -30,23 +28,40 @@ from .corrcat import (CorrMorphism, CorrObject, make_corr_morphism,
 from .errors import GenerationFailed
 from .exactalg import Matrix, Poly, QElem
 from .functors import AutObject, make_aut_object
+from .values import Frozen, setfield
 from .varieties import AffVariety, VarMorphism, broken_relation, make_morphism
 
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit child seed from arbitrary string/int parts."""
+    import hashlib  # on first use, so `kcorr run` start-up skips it
     text = "\x1f".join(str(p) for p in parts)
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-@dataclass(frozen=True)
-class GenBounds:
+class GenBounds(Frozen):
     """Size knobs for the generators; defaults match the documented limits."""
 
-    max_n: int = 3
-    max_deg: int = 2
-    max_elementary: int = 3
-    zero_weight: float = 0.08
+    _fields = ("max_n", "max_deg", "max_elementary", "zero_weight")
+
+    def __init__(self, max_n: int = 3, max_deg: int = 2, max_elementary: int = 3,
+                 zero_weight: float = 0.08):
+        setfield(self, "max_n", max_n)
+        setfield(self, "max_deg", max_deg)
+        setfield(self, "max_elementary", max_elementary)
+        setfield(self, "zero_weight", zero_weight)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.max_n, self.max_deg, self.max_elementary,
+                     self.zero_weight)
+                    == (other.max_n, other.max_deg, other.max_elementary,
+                        other.zero_weight))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.max_n, self.max_deg, self.max_elementary,
+                     self.zero_weight))
 
 
 # -- scalars and polynomials -------------------------------------------------

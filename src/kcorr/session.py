@@ -18,12 +18,11 @@ message reads ``line L, col C: message`` (``line L: message`` without one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .corrcat import CorrMorphism, CorrObject, make_corr_morphism, make_correspondence
 from .errors import KcorrError, ParseError, ResolveError
 from .exactalg import Field, Matrix, QElem, QQ, parse_field, parse_poly
 from .functors import AutObject, make_aut_object
+from .values import Value
 from .varieties import AffVariety, VarMorphism, make_morphism, make_variety
 
 FORMAT_VERSION = 1
@@ -34,21 +33,43 @@ COMMAND_WORDS = frozenset({
 })
 
 
-@dataclass
-class Session:
-    field: Field = QQ
-    varieties: dict = dc_field(default_factory=dict)
-    maps: dict = dc_field(default_factory=dict)
-    corrs: dict = dc_field(default_factory=dict)
-    morphisms: dict = dc_field(default_factory=dict)
-    auts: dict = dc_field(default_factory=dict)
-    # names a declaration refers to: (src, dst) or (base, thetas, inverses)
-    refs: dict = dc_field(default_factory=dict)
-    decls: list = dc_field(default_factory=list)  # (kind, name) in file order
-    commands: list = dc_field(default_factory=list)
-    # (line number, source text) of each command, for error messages; not
-    # part of equality
-    command_lines: list = dc_field(default_factory=list, compare=False)
+class Session(Value):
+    """A parsed or assembled session: declaration tables and commands.
+
+    ``refs`` holds the names a declaration refers to: (src, dst) or (base,
+    thetas, inverses).  ``decls`` lists (kind, name) in file order, and
+    ``command_lines`` the (line number, source text) of each command, for
+    error messages; it is not part of equality.
+    """
+
+    _fields = ("field", "varieties", "maps", "corrs", "morphisms", "auts",
+               "refs", "decls", "commands", "command_lines")
+
+    def __init__(self, field: Field = QQ, varieties: dict | None = None,
+                 maps: dict | None = None, corrs: dict | None = None,
+                 morphisms: dict | None = None, auts: dict | None = None,
+                 refs: dict | None = None, decls: list | None = None,
+                 commands: list | None = None, command_lines: list | None = None):
+        self.field = field
+        self.varieties = {} if varieties is None else varieties
+        self.maps = {} if maps is None else maps
+        self.corrs = {} if corrs is None else corrs
+        self.morphisms = {} if morphisms is None else morphisms
+        self.auts = {} if auts is None else auts
+        self.refs = {} if refs is None else refs
+        self.decls = [] if decls is None else decls
+        self.commands = [] if commands is None else commands
+        self.command_lines = [] if command_lines is None else command_lines
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.field, self.varieties, self.maps, self.corrs,
+                     self.morphisms, self.auts, self.refs, self.decls,
+                     self.commands)
+                    == (other.field, other.varieties, other.maps, other.corrs,
+                        other.morphisms, other.auts, other.refs, other.decls,
+                        other.commands))
+        return NotImplemented
 
     def is_declared(self, name: str) -> bool:
         return any(name in getattr(self, table) for table in _TABLES.values())

@@ -12,26 +12,39 @@ into its base and that torus (``split_torus``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (AmbientMismatch, FieldMismatch, InvalidArity,
                      NotWellDefined, ParseError, ShapeError, UnknownVariable)
 from .exactalg import (DEGREVLEX, Ambient, Field, Poly, QElem, buchberger,
                        parse_poly, tokenize)
+from .values import Frozen, setfield
 
 SEPARATOR = "."
 
 
-@dataclass(frozen=True)
-class AffVariety:
+class AffVariety(Frozen):
     """A presented affine variety; equal presentations are equal varieties."""
 
-    name: str
-    vars: tuple
-    ideal_gens: tuple
-    field: Field
-    factors: tuple | None = None
+    def __init__(self, name: str, vars: tuple, ideal_gens: tuple, field: Field,
+                 factors: tuple | None = None):
+        setfield(self, "name", name)
+        setfield(self, "vars", vars)
+        setfield(self, "ideal_gens", ideal_gens)
+        setfield(self, "field", field)
+        setfield(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.name, self.vars, self.ideal_gens, self.field,
+                     self.factors)
+                    == (other.name, other.vars, other.ideal_gens, other.field,
+                        other.factors))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.vars, self.ideal_gens, self.field,
+                     self.factors))
 
     @cached_property
     def ambient(self) -> Ambient:
@@ -197,13 +210,23 @@ def split_torus(y: AffVariety):
 # -- morphisms ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VarMorphism:
+class VarMorphism(Frozen):
     """A morphism of varieties, represented by its coordinate pullback."""
 
-    source: AffVariety
-    target: AffVariety
-    images: tuple  # one QElem over k[source] per target variable
+    def __init__(self, source: AffVariety, target: AffVariety, images: tuple):
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        # one QElem over k[source] per target variable
+        setfield(self, "images", images)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.images)
+                    == (other.source, other.target, other.images))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.images))
 
     def image_map(self) -> dict:
         return {v: img.rep for v, img in zip(self.target.vars, self.images)}

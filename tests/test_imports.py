@@ -1,4 +1,5 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name is read somewhere in its module, and start-up
+loads no standard module that ``kcorr run`` never uses.
 
 No linter is a dependency, so this walks the syntax trees of the package
 and of the tests.  Package ``__init__`` modules are skipped: their imports
@@ -6,6 +7,9 @@ are the public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +38,17 @@ def test_no_unused_imports():
     unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
               for path in MODULES for line, name in unused_imports(path)]
     assert not unused, "imported and never read:\n" + "\n".join(unused)
+
+
+def test_cli_import_loads_no_unneeded_stdlib():
+    """Each ``kcorr run`` pays for every module ``import kcorr.cli`` loads;
+    these three are needed only by code that imports them when it runs."""
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", code + "import sys; print(*sys.modules)"],
+                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                             capture_output=True, text=True, check=True).stdout
+        return set(out.split())
+
+    added = loaded("import kcorr.cli; ") - loaded("")
+    assert "kcorr.cli" in added
+    assert not added & {"dataclasses", "hashlib", "json"}
