@@ -32,15 +32,6 @@ class BimodulePresentation(Frozen):
         setfield(self, "proj", proj)
         setfield(self, "y_actions", y_actions)  # one matrix per Y-coordinate
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.X, self.Y, self.n, self.proj, self.y_actions)
-                    == (other.X, other.Y, other.n, other.proj, other.y_actions))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.X, self.Y, self.n, self.proj, self.y_actions))
-
     def __repr__(self):
         return f"BimodulePresentation({self.X.name} x {self.Y.name}, n={self.n})"
 
@@ -99,14 +90,6 @@ class BigBimodule(Frozen):
     def __init__(self, root: BimodulePresentation, morphism: VarMorphism):
         setfield(self, "root", root)
         setfield(self, "morphism", morphism)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.root, self.morphism) == (other.root, other.morphism)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.root, self.morphism))
 
     @property
     def base_variety(self) -> AffVariety:

@@ -97,15 +97,6 @@ class CorrObject(Frozen):
         setfield(self, "p", p)
         setfield(self, "gen_images", gen_images)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.X, self.Y, self.n, self.p, self.gen_images)
-                    == (other.X, other.Y, other.n, other.p, other.gen_images))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.X, self.Y, self.n, self.p, self.gen_images))
-
     def __repr__(self):
         return f"CorrObject({self.X.name} -> {self.Y.name}, n={self.n})"
 
@@ -118,15 +109,6 @@ class CorrMorphism(Frozen):
         setfield(self, "dst", dst)
         setfield(self, "mat", mat)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.src, self.dst, self.mat)
-                    == (other.src, other.dst, other.mat))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.mat))
-
     def __repr__(self):
         return f"CorrMorphism({self.src!r} => {self.dst!r})"
 
@@ -134,19 +116,9 @@ class CorrMorphism(Frozen):
 class IsoCertificate(Frozen):
     """A pair of mutually inverse morphisms; the witness k0 merges classes by."""
 
-    _fields = ("fwd", "bwd")
-
     def __init__(self, fwd: CorrMorphism, bwd: CorrMorphism):
         setfield(self, "fwd", fwd)
         setfield(self, "bwd", bwd)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.fwd, self.bwd) == (other.fwd, other.bwd)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.fwd, self.bwd))
 
 
 def _check_object_data(X, Y, n, p, gen_images):

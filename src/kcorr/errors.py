@@ -75,6 +75,10 @@ class UnknownObject(KcorrError):
     """A ledger query mentions an object that was never registered."""
 
 
+class BudgetExceeded(KcorrError):
+    """An input would make a result larger than a fixed budget allows."""
+
+
 class GenerationFailed(KcorrError):
     """The randomized generator exhausted its resampling budget."""
 

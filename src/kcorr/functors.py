@@ -84,20 +84,10 @@ def box_mor(f: VarMorphism, mor: CorrMorphism) -> CorrMorphism:
 class AutObject(Frozen):
     """A correspondence with commuting certified automorphisms."""
 
-    _fields = ("base", "thetas")
-
     def __init__(self, base: CorrObject, thetas: tuple):
         setfield(self, "base", base)
         # pairs (theta_i, theta_i_inverse), each a CorrMorphism
         setfield(self, "thetas", thetas)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.thetas) == (other.base, other.thetas)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.thetas))
 
     @property
     def arity(self) -> int:
@@ -105,21 +95,10 @@ class AutObject(Frozen):
 
 
 class AutMorphism(Frozen):
-    _fields = ("src", "dst", "underlying")
-
     def __init__(self, src: AutObject, dst: AutObject, underlying: CorrMorphism):
         setfield(self, "src", src)
         setfield(self, "dst", dst)
         setfield(self, "underlying", underlying)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.src, self.dst, self.underlying)
-                    == (other.src, other.dst, other.underlying))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.underlying))
 
 
 def make_aut_object(base: CorrObject, thetas) -> AutObject:

@@ -72,14 +72,6 @@ class K0Class(Frozen):
         # ((representative id, coefficient), ...) sorted by id
         setfield(self, "terms", terms)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.terms,))
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -39,8 +39,6 @@ def law_pool(field: Field) -> tuple:
 
 
 class LawFailure(Value):
-    _fields = ("law", "check", "field", "case_index", "seed", "message", "inputs")
-
     def __init__(self, law: str, check: str, field: str, case_index: int,
                  seed: int, message: str, inputs: str):
         self.law = law
@@ -51,14 +49,6 @@ class LawFailure(Value):
         self.message = message
         self.inputs = inputs
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.law, self.check, self.field, self.case_index,
-                     self.seed, self.message, self.inputs)
-                    == (other.law, other.check, other.field, other.case_index,
-                        other.seed, other.message, other.inputs))
-        return NotImplemented
-
     def as_dict(self):
         return {
             "law": self.law, "check": self.check, "field": self.field,
@@ -68,19 +58,11 @@ class LawFailure(Value):
 
 
 class LawResult(Value):
-    _fields = ("law", "field", "cases", "failures")
-
     def __init__(self, law: str, field: str, cases: int, failures: list):
         self.law = law
         self.field = field
         self.cases = cases
         self.failures = failures
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.law, self.field, self.cases, self.failures)
-                    == (other.law, other.field, other.cases, other.failures))
-        return NotImplemented
 
     @property
     def ok(self) -> bool:
@@ -88,8 +70,6 @@ class LawResult(Value):
 
 
 class LawReport(Value):
-    _fields = ("seed", "cases", "fields", "results", "wall_time")
-
     def __init__(self, seed: int, cases: int, fields: tuple,
                  results: list | None = None, wall_time: float = 0.0):
         self.seed = seed
@@ -97,14 +77,6 @@ class LawReport(Value):
         self.fields = fields
         self.results = [] if results is None else results
         self.wall_time = wall_time
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.seed, self.cases, self.fields, self.results,
-                     self.wall_time)
-                    == (other.seed, other.cases, other.fields, other.results,
-                        other.wall_time))
-        return NotImplemented
 
     @property
     def failures(self):

@@ -10,11 +10,16 @@ degenerates to the classical Kronecker product.
 
 from __future__ import annotations
 
-from .errors import AmbientMismatch, InternalLawViolation, ShapeError
+from .errors import (AmbientMismatch, BudgetExceeded, InternalLawViolation,
+                     ShapeError)
 from .exactalg import Matrix, QElem
 from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, corner_eval,
                       direct_sum, graph_object, verify_iso, _trusted_morphism,
                       _trusted_object)
+
+# the most entries a composite's idempotent may hold; a pairing beyond it
+# is refused before anything is evaluated
+MAX_COMPOSITE_ENTRIES = 10 ** 6
 
 
 def flatten_blocks(blocks) -> Matrix:
@@ -87,9 +92,15 @@ def pull_matrices(f, mats) -> list[Matrix]:
 
 
 def _check_middle(first: CorrObject, second: CorrObject):
+    """Refuse a pairing whose middle varieties differ, or one beyond the budget."""
     if first.Y != second.X:
         raise AmbientMismatch(
             f"middle variety mismatch: {first.Y.name} vs {second.X.name}")
+    n = second.n * first.n
+    if n * n > MAX_COMPOSITE_ENTRIES:
+        raise BudgetExceeded(
+            f"composite too large: n = {n} gives {n * n:,} entries, "
+            f"more than {MAX_COMPOSITE_ENTRIES:,}")
 
 
 def _composite(first: CorrObject, second: CorrObject, values) -> CorrObject:

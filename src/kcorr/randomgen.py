@@ -42,26 +42,12 @@ def derive_seed(*parts) -> int:
 class GenBounds(Frozen):
     """Size knobs for the generators; defaults match the documented limits."""
 
-    _fields = ("max_n", "max_deg", "max_elementary", "zero_weight")
-
     def __init__(self, max_n: int = 3, max_deg: int = 2, max_elementary: int = 3,
                  zero_weight: float = 0.08):
         setfield(self, "max_n", max_n)
         setfield(self, "max_deg", max_deg)
         setfield(self, "max_elementary", max_elementary)
         setfield(self, "zero_weight", zero_weight)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.max_n, self.max_deg, self.max_elementary,
-                     self.zero_weight)
-                    == (other.max_n, other.max_deg, other.max_elementary,
-                        other.zero_weight))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.max_n, self.max_deg, self.max_elementary,
-                     self.zero_weight))
 
 
 # -- scalars and polynomials -------------------------------------------------
@@ -273,7 +259,7 @@ def random_endo_matrix(obj: CorrObject, rng: random.Random) -> Matrix:
     acc = obj.p.scale(random_scalar(obj.X.field, rng))
     for a in obj.gen_images:
         acc = acc + a.scale(random_scalar(obj.X.field, rng))
-    if len(obj.gen_images) >= 1 and rng.random() < 0.5:
+    if rng.random() < 0.5:
         acc = acc + (obj.gen_images[0] * obj.gen_images[-1]).scale(
             random_scalar(obj.X.field, rng))
     return acc

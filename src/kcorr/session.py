@@ -42,9 +42,6 @@ class Session(Value):
     error messages; it is not part of equality.
     """
 
-    _fields = ("field", "varieties", "maps", "corrs", "morphisms", "auts",
-               "refs", "decls", "commands", "command_lines")
-
     def __init__(self, field: Field = QQ, varieties: dict | None = None,
                  maps: dict | None = None, corrs: dict | None = None,
                  morphisms: dict | None = None, auts: dict | None = None,
@@ -62,13 +59,9 @@ class Session(Value):
         self.command_lines = [] if command_lines is None else command_lines
 
     def __eq__(self, other):
+        # every field but the last, command_lines
         if other.__class__ is self.__class__:
-            return ((self.field, self.varieties, self.maps, self.corrs,
-                     self.morphisms, self.auts, self.refs, self.decls,
-                     self.commands)
-                    == (other.field, other.varieties, other.maps, other.corrs,
-                        other.morphisms, other.auts, other.refs, other.decls,
-                        other.commands))
+            return self._key(self)[:-1] == self._key(other)[:-1]
         return NotImplemented
 
     def is_declared(self, name: str) -> bool:

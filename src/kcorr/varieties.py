@@ -34,18 +34,6 @@ class AffVariety(Frozen):
         setfield(self, "field", field)
         setfield(self, "factors", factors)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.name, self.vars, self.ideal_gens, self.field,
-                     self.factors)
-                    == (other.name, other.vars, other.ideal_gens, other.field,
-                        other.factors))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.vars, self.ideal_gens, self.field,
-                     self.factors))
-
     @cached_property
     def ambient(self) -> Ambient:
         return Ambient(self.vars, self.field, DEGREVLEX)
@@ -218,15 +206,6 @@ class VarMorphism(Frozen):
         setfield(self, "target", target)
         # one QElem over k[source] per target variable
         setfield(self, "images", images)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.images)
-                    == (other.source, other.target, other.images))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.images))
 
     def image_map(self) -> dict:
         return {v: img.rep for v, img in zip(self.target.vars, self.images)}

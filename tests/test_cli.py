@@ -271,6 +271,15 @@ def test_huge_power_is_an_input_error(ideal, column, tmp_path, capsys):
         f"error: line 2, col {column}: polynomial literal too large\n")
 
 
+def test_huge_composite_is_an_input_error(capsys):
+    path = Path(__file__).resolve().parent / "data" / "huge_composite.kc"
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "> compose I I\n",
+        "error: line 4: composite too large: n = 1024 gives 1,048,576 "
+        "entries, more than 1,000,000\n")
+
+
 _HUGE = "1" * 5000  # past the 4,300 digits CPython's int() reads by default
 
 

@@ -11,8 +11,8 @@ from kcorr.corrcat import (compose_vertical, direct_sum, graph_object,
                            identity_morphism, identity_object,
                            make_corr_morphism, make_correspondence,
                            zero_morphism, zero_object, verify_iso)
-from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
-                          ShapeError)
+from kcorr.errors import (AmbientMismatch, BudgetExceeded, InternalLawViolation,
+                          InvalidMorphism, ShapeError)
 from kcorr.exactalg import Matrix, PrimeField, QElem, QQ, scalar_value
 from kcorr.laws import law_pool
 from kcorr.pairing import (compose_morphisms, compose_objects,
@@ -114,6 +114,38 @@ def test_middle_mismatch(pools):
     with pytest.raises(AmbientMismatch) as err:
         compose_morphisms(identity_morphism(b2), identity_morphism(a))
     assert err.value.detail == "middle variety mismatch: TwoPts vs A1"
+
+
+def _refuse_evaluation(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a composite was evaluated past its budget")
+    monkeypatch.setattr(pairing, "_eval_blocks_flat", forbidden)
+
+
+def test_composite_budget_refuses_before_evaluating(pools, monkeypatch):
+    pt = pools[QQ][0]
+    big = make_correspondence(pt, pt, 32, Matrix.identity(pt.gb, 32), ())
+    _refuse_evaluation(monkeypatch)
+    with pytest.raises(BudgetExceeded) as err:
+        compose_objects(big, big)
+    assert err.value.detail == ("composite too large: n = 1024 gives 1,048,576 "
+                                "entries, more than 1,000,000")
+    with pytest.raises(BudgetExceeded):
+        compose_morphisms(identity_morphism(big), identity_morphism(big))
+
+
+def test_composite_budget_admits_its_limit(pools, monkeypatch):
+    pt = pools[QQ][0]
+    two, three = (make_correspondence(pt, pt, n, Matrix.identity(pt.gb, n), ())
+                  for n in (2, 3))
+    monkeypatch.setattr(pairing, "MAX_COMPOSITE_ENTRIES", 16)
+    assert compose_objects(two, two).n == 4
+    assert compose_morphisms(identity_morphism(two), identity_morphism(two)).mat.nrows == 4
+    _refuse_evaluation(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="36 entries, more than 16"):
+        compose_objects(two, three)
+    with pytest.raises(BudgetExceeded):
+        compose_morphisms(identity_morphism(three), identity_morphism(two))
 
 
 def test_kronecker_rank_over_point(pools):

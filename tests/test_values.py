@@ -5,8 +5,11 @@ type must hash as the tuple of its fields in declaration order.  The field
 lists here are the declaration orders; each field's test value is its name.
 """
 
+import importlib
+
 import pytest
 
+from kcorr import values
 from kcorr.bimod import BigBimodule, BimodulePresentation, big_lift, to_bimodule
 from kcorr.corrcat import CorrMorphism, CorrObject, IsoCertificate, identity_object
 from kcorr.exactalg import QQ
@@ -90,6 +93,24 @@ def test_mutable_types_are_unhashable_and_assignable(cls, fields):
         hash(a)
     setattr(a, fields[0], "other")
     assert getattr(a, fields[0]) == "other"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_type_is_pinned():
+    importlib.import_module("kcorr.cli")  # loads every module with a value type
+    tables = dict(ALL)
+    found = set(_subclasses(values.Value)) - {values.Frozen}
+    assert found == set(tables)
+    for cls in found:
+        assert cls._fields == tables[cls]
+        assert issubclass(cls, values.Frozen) == (cls in dict(FROZEN))
+        # only Session writes its own equality, which makes it unhashable
+        assert ("__eq__" in vars(cls)) == ("__hash__" in vars(cls)) == (cls is Session)
 
 
 def test_equality_requires_the_same_class():
