@@ -1,7 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars are plain Python values (``fractions.Fraction`` over Q, canonical
-residues ``0..p-1`` over F_p), so all arithmetic is exact by construction.
+Scalars are plain Python values, so all arithmetic is exact by construction.
+Over F_p a scalar is a canonical residue ``0..p-1``.  Over Q it is an ``int``
+when integral and a ``fractions.Fraction`` otherwise: ``zero``, ``one``, the
+constructors and ``inv`` follow that rule, and ``int`` arithmetic stays
+``int``.  Arithmetic on ``Fraction``s may still give an integral
+``Fraction``, which compares, hashes and prints like the equal ``int``.
 Field objects are immutable tags bundling the operations.  There is one
 instance per field (``PrimeField`` interns by ``p``, ``RationalField`` is a
 singleton), so fields compare and hash by identity.
@@ -56,11 +60,17 @@ class Field:
     def format(self, a) -> str:
         return str(a)
 
+    def elements_sample(self):
+        """A small fixed pool of scalars, built once per field; the random
+        generators draw from it, so its values and order pin their streams."""
+        return self._sample
+
 
 class RationalField(Field):
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
+    _sample = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3)
 
     _instance = None
 
@@ -70,12 +80,13 @@ class RationalField(Field):
         return cls._instance
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def from_fraction(self, num, den):
         if den == 0:
             raise InvalidField("zero denominator in rational literal")
-        return Fraction(num, den)
+        q = Fraction(num, den)
+        return q.numerator if q.denominator == 1 else q
 
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
@@ -85,13 +96,8 @@ class RationalField(Field):
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
-
-    def elements_sample(self):
-        return (
-            Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
-            Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3),
-        )
+        # never ``1 / a``, which is a float when ``a`` is an ``int``
+        return self.from_fraction(a.denominator, a.numerator)
 
 
 class PrimeField(Field):
@@ -109,6 +115,7 @@ class PrimeField(Field):
             inst.name = f"F{p}"
             inst.zero = 0
             inst.one = 1 % p
+            inst._sample = tuple(c % p for c in (range(p) if p <= 7 else range(-3, 4)))
             cls._instances[p] = inst
         return inst
 
@@ -136,9 +143,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in F{self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def elements_sample(self):
-        return tuple(c % self.p for c in (range(self.p) if self.p <= 7 else range(-3, 4)))
 
 
 QQ = RationalField()

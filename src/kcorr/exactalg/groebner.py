@@ -85,10 +85,11 @@ class GroebnerBasis:
     Weispfenning, *Gröbner Bases*, 1993, ch. 5), so :meth:`normal_form`
     sums ``c * NF(x^m)`` over the terms of its input and reduces each
     monomial once per basis: ``_monomial_nf`` keeps ``NF(x^m)`` as a term
-    map, filled on first use.
+    map, filled on first use.  ``_zero`` keeps the ring's one zero element,
+    which ``QElem.zero`` fills on first use.
     """
 
-    __slots__ = ("ambient", "gens", "_hash", "_monomial_nf")
+    __slots__ = ("ambient", "gens", "_hash", "_monomial_nf", "_zero")
 
     def __init__(self, ambient: Ambient, gens):
         self.ambient = ambient
@@ -96,6 +97,7 @@ class GroebnerBasis:
         self.gens = tuple(sorted(gens, key=lambda g: key(g.leading_monomial())))
         self._hash = None
         self._monomial_nf: dict = {}
+        self._zero = None
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ambient != self.ambient:

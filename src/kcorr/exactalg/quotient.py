@@ -28,7 +28,11 @@ class QElem:
 
     @staticmethod
     def zero(basis: GroebnerBasis) -> "QElem":
-        return QElem(basis, Poly.zero(basis.ambient), reduced=True)
+        # one shared zero per basis: no QElem or Poly is changed in place
+        z = basis._zero
+        if z is None:
+            z = basis._zero = QElem(basis, Poly.zero(basis.ambient), reduced=True)
+        return z
 
     @staticmethod
     def one(basis: GroebnerBasis) -> "QElem":

@@ -26,7 +26,7 @@ def field_ops(field_label, p=5):
         return {
             "zero": Fraction(0), "one": Fraction(1),
             "add": lambda a, b: a + b, "sub": lambda a, b: a - b,
-            "mul": lambda a, b: a * b, "inv": lambda a: 1 / a,
+            "mul": lambda a, b: a * b, "inv": lambda a: Fraction(1) / a,
         }
     return {
         "zero": 0, "one": 1 % p,

@@ -1,12 +1,13 @@
 import random
 import time
+from fractions import Fraction
 from itertools import takewhile
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kcorr.cli import main
-from kcorr.exactalg import QQ, PrimeField, parse_field
+from kcorr.exactalg import DEGREVLEX, QQ, Ambient, Poly, PrimeField, parse_field
 from kcorr.exactalg.fields import _is_prime
 from kcorr.errors import InvalidField
 
@@ -115,3 +116,56 @@ def test_field_specs(spec):
 def test_bad_field_specs_are_invalid_fields(spec):
     with pytest.raises(InvalidField, match="unknown field spec"):
         parse_field(spec)
+
+
+@pytest.mark.parametrize("method, args, expected", [
+    ("from_int", (3,), 3),
+    ("from_fraction", (4, 2), 2),
+    ("from_fraction", (1, 2), Fraction(1, 2)),
+    ("inv", (2,), Fraction(1, 2)),
+    ("inv", (Fraction(1, 2),), 2),
+    ("inv", (-1,), -1),
+])
+def test_rational_scalars_are_int_exactly_when_integral(method, args, expected):
+    value = getattr(QQ, method)(*args)
+    assert (type(value), value) == (type(expected), expected)
+    assert (type(QQ.zero), type(QQ.one)) == (int, int)
+
+
+rationals = st.one_of(st.integers(-50, 50),
+                      st.fractions(-50, 50, max_denominator=20))
+
+
+@given(a=rationals, b=rationals)
+def test_rational_arithmetic_never_gives_a_float(a, b):
+    results = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b)]
+    if a:
+        inverse = QQ.inv(a)
+        assert QQ.mul(inverse, a) == 1
+        results.append(inverse)
+    assert not any(isinstance(r, float) for r in results)
+
+
+def test_integral_coefficient_int_or_fraction_is_one_polynomial():
+    amb = Ambient(("x",), QQ, DEGREVLEX)
+    as_int = Poly(amb, {(1,): 3, (0,): Fraction(1, 2)})
+    as_fraction = Poly(amb, {(1,): Fraction(3), (0,): Fraction(1, 2)})
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    assert str(as_int) == str(as_fraction) == "3*x + 1/2"
+
+
+@pytest.mark.parametrize("field, pool", [
+    (QQ, (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3)),
+    (PrimeField(2), (0, 1)),
+    (PrimeField(5), (0, 1, 2, 3, 4)),
+    (PrimeField(7), (0, 1, 2, 3, 4, 5, 6)),
+    (PrimeField(11), (8, 9, 10, 0, 1, 2, 3)),
+], ids=["Q", "F2", "F5", "F7", "F11"])
+def test_sample_pools_are_pinned_and_built_once(field, pool):
+    # every random draw indexes this pool, so a reordered pool re-draws
+    # every law case
+    sample = field.elements_sample()
+    assert sample == pool
+    assert [type(c) for c in sample] == [type(c) for c in pool]
+    assert field.elements_sample() is sample
