@@ -29,12 +29,13 @@ def corner_eval(p: Matrix, action_mats, polys) -> list[Matrix]:
     p * A^a of each monomial a, from its prefix as (p * A^(a - e_i)) * A_i
     with i the last variable of a, so every prefix is kept for the
     monomials that extend it; each corner product's nonzero entries; and
-    one n x n zero matrix, which every zero polynomial returns.
+    one n x n zero matrix, which every zero polynomial returns.  A single
+    monomial with coefficient one returns its corner product itself.
     """
     n = p.nrows
     basis = p.basis
     ambient = basis.ambient
-    add, mul = ambient.field.add, ambient.field.mul
+    add, mul, one = ambient.field.add, ambient.field.mul, ambient.field.one
     zero_block = Matrix.zeros(basis, n, n)
     products = {(0,) * len(action_mats): p}
     corners: dict = {}
@@ -68,6 +69,11 @@ def corner_eval(p: Matrix, action_mats, polys) -> list[Matrix]:
         if not poly.terms:
             results.append(zero_block)
             continue
+        if len(poly.terms) == 1:
+            [(mono, coeff)] = poly.terms.items()
+            if coeff == one:
+                results.append(product(mono))
+                continue
         acc: dict = {}
         for mono, coeff in poly.terms.items():
             for pos, entry_terms in corner(mono):

@@ -85,11 +85,13 @@ class GroebnerBasis:
     Weispfenning, *Gröbner Bases*, 1993, ch. 5), so :meth:`normal_form`
     sums ``c * NF(x^m)`` over the terms of its input and reduces each
     monomial once per basis: ``_monomial_nf`` keeps ``NF(x^m)`` as a term
-    map, filled on first use.  ``_zero`` keeps the ring's one zero element,
-    which ``QElem.zero`` fills on first use.
+    map, filled on first use.  ``_standard`` holds the memoized monomials
+    that are their own normal form; a polynomial made only of them is
+    returned as it is.  ``_zero`` keeps the ring's one zero element, which
+    ``QElem.zero`` fills on first use.
     """
 
-    __slots__ = ("ambient", "gens", "_hash", "_monomial_nf", "_zero")
+    __slots__ = ("ambient", "gens", "_hash", "_monomial_nf", "_standard", "_zero")
 
     def __init__(self, ambient: Ambient, gens):
         self.ambient = ambient
@@ -97,12 +99,13 @@ class GroebnerBasis:
         self.gens = tuple(sorted(gens, key=lambda g: key(g.leading_monomial())))
         self._hash = None
         self._monomial_nf: dict = {}
+        self._standard: set = set()
         self._zero = None
 
     def normal_form(self, f: Poly) -> Poly:
         if f.ambient != self.ambient:
             raise AmbientMismatch(f"{f.ambient!r} vs basis over {self.ambient!r}")
-        if not self.gens:
+        if not self.gens or self._standard.issuperset(f.terms):
             return f
         ambient, gens, memo = self.ambient, self.gens, self._monomial_nf
         field = ambient.field
@@ -112,6 +115,8 @@ class GroebnerBasis:
             image = memo.get(mono)
             if image is None:
                 image = memo[mono] = reduce_poly(Poly(ambient, {mono: one}), gens).terms
+                if image == {mono: one}:
+                    self._standard.add(mono)
             for m, c in image.items():
                 prev = acc.get(m)
                 acc[m] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))

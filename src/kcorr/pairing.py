@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import (AmbientMismatch, BudgetExceeded, InternalLawViolation,
                      ShapeError)
-from .exactalg import Matrix, QElem
+from .exactalg import Matrix
 from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, corner_eval,
                       direct_sum, graph_object, verify_iso, _trusted_morphism,
                       _trusted_object)
@@ -47,20 +47,12 @@ def flatten_blocks(blocks) -> Matrix:
                 raise ShapeError("blocks must be square")
             if blk.nrows != inner:
                 raise ShapeError("ragged blocks: all blocks must share one size")
-            if blk.basis != basis:
+            if blk.basis is not basis and blk.basis != basis:
                 raise AmbientMismatch("blocks over different rings")
     if nrows == ncols == 1:
         return blocks[0][0]
-    z = QElem.zero(basis)
-    out = [[z] * (ncols * inner) for _ in range(nrows * inner)]
-    for a in range(nrows):
-        for b in range(ncols):
-            blk = blocks[a][b]
-            for i in range(inner):
-                row = out[a * inner + i]
-                blk_row = blk.rows[i]
-                for j in range(inner):
-                    row[b * inner + j] = blk_row[j]
+    out = [[e for blk in row for e in blk.rows[i]]
+           for row in blocks for i in range(inner)]
     return Matrix(basis, out, nrows * inner, ncols * inner)
 
 

@@ -13,7 +13,7 @@ from kcorr.cli import main
 from kcorr.corrcat import _trusted_object
 from kcorr.errors import (AmbientMismatch, InternalLawViolation, InvalidMorphism,
                           InvalidObject, ShapeError, UnknownVariable)
-from kcorr.exactalg import Matrix, QElem, QQ
+from kcorr.exactalg import Matrix, PrimeField, QElem, QQ
 from kcorr.laws import law_pool
 from kcorr.randomgen import GenBounds, random_object, random_morphism_from
 from kcorr.varieties import make_morphism, make_variety
@@ -76,6 +76,11 @@ def test_eval_rejects_stray_variables(setting):
     with pytest.raises(UnknownVariable) as err:
         eval_nonunital(obj, line.var("x").rep)
     assert err.value.detail == "polynomial over ('x',) does not match TwoPts"
+    # the same variable over another field is another ambient
+    other = law_pool(PrimeField(5))[2]
+    with pytest.raises(UnknownVariable) as err:
+        eval_nonunital(obj, other.var("y").rep)
+    assert err.value.detail == "polynomial over ('y',) does not match TwoPts"
 
 
 def test_make_correspondence_validation(setting):

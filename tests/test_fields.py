@@ -14,12 +14,6 @@ from kcorr.errors import InvalidField
 FIELDS = [QQ, PrimeField(5), PrimeField(2), PrimeField(7)]
 
 
-def scalars(field):
-    if field is QQ:
-        return st.fractions(max_numerator=50, max_denominator=20)
-    return st.integers(min_value=0, max_value=field.p - 1)
-
-
 @pytest.mark.parametrize("field", FIELDS)
 def test_field_axioms_randomized(field):
     rng = random.Random(20240817)

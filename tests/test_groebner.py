@@ -7,8 +7,11 @@ import pytest
 
 from oracles import canonical, field_ops, naive_buchberger, poly_to_dict
 from kcorr.errors import AmbientMismatch
-from kcorr.exactalg import (Ambient, Poly, PrimeField, QQ, buchberger,
+from kcorr.exactalg import (Ambient, GroebnerBasis, Poly, PrimeField, QQ, buchberger,
                             groebner, normal_form, parse_poly, quotient_eq)
+from kcorr.exactalg.groebner import reduce_poly
+from kcorr.exactalg.poly import mono_divides
+from kcorr.laws import law_pool
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_groebner.json").read_text())
 
@@ -134,6 +137,73 @@ def test_division_and_ring_compatibility(case):
         for gen in gens:
             combo = combo + gen * _random_poly(amb, rng, 2, 2)
         assert nf(combo).is_zero()
+
+
+def _bases():
+    """Every golden basis and every law-pool ring."""
+    for case in GOLDEN:
+        amb = _ambient(case)
+        yield case["name"], buchberger([parse_poly(g, amb) for g in case["gens"]], amb)
+    for field in (QQ, PrimeField(5)):
+        for variety in law_pool(field):
+            yield f"{variety.name}-{field}", variety.gb
+
+
+BASES = dict(_bases())
+
+
+def _fresh(name):
+    """An equal basis whose memo of monomial normal forms starts empty."""
+    return GroebnerBasis(BASES[name].ambient, BASES[name].gens)
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_normal_form_matches_reduction_cold_and_warm(name):
+    gb = _fresh(name)
+    amb = gb.ambient
+    rng = random.Random(name)
+    drawn = [_random_poly(amb, rng, 6, 4) for _ in range(40)]
+    # normal forms, whose monomials are all standard
+    reduced = [reduce_poly(f, gb.gens) for f in drawn]
+    inputs = drawn + reduced
+    want = reduced + reduced
+    for _ in ("cold", "warm"):
+        got = [gb.normal_form(f) for f in inputs]
+        assert got == want
+        assert [str(f) for f in got] == [str(f) for f in want]
+    # the cold pass memoized every monomial of each normal form
+    assert all(got is f for got, f in zip(got[len(drawn):], reduced))
+    lead = [g.leading_monomial() for g in gb.gens]
+    assert not any(mono_divides(lm, m) for m in gb._standard for lm in lead)
+
+
+@pytest.mark.parametrize("name", [name for name, gb in BASES.items() if gb.gens])
+def test_leading_monomials_never_count_as_standard(name):
+    gb = _fresh(name)
+    one = gb.ambient.field.one
+    for g in gb.gens:
+        lm = g.leading_monomial()
+        f = Poly(gb.ambient, {lm: one})
+        for _ in ("cold", "warm"):
+            assert gb.normal_form(f) == reduce_poly(f, gb.gens) != f
+        assert lm not in gb._standard
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_standard_inputs_come_back_as_themselves(field):
+    gb = _fresh(f"Gm1-{field}")
+    amb = gb.ambient
+    t1s1 = parse_poly("t1*s1", amb)
+    assert gb.normal_form(t1s1) == Poly.one(amb)
+    assert (1, 1) not in gb._standard
+    f = parse_poly("t1^2 + 3*s1 + 1", amb)
+    assert gb.normal_form(f) == f
+    assert gb._standard == {(2, 0), (0, 1), (0, 0)}
+    assert gb.normal_form(f) is f
+    # one reducible monomial sends the input through the reduction
+    assert gb.normal_form(f + t1s1) == parse_poly("t1^2 + 3*s1 + 2", amb)
+    zero = Poly.zero(amb)
+    assert gb.normal_form(zero) is zero
 
 
 def test_ambient_mismatch_errors():

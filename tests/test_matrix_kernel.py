@@ -205,6 +205,32 @@ def test_sparse_high_monomials_match_term_by_term(name, exponents):
     assert corner_eval(p, mats, [mixed]) == [term_by_term_corner_eval(p, mats, mixed)]
 
 
+@pytest.mark.parametrize("name", ["Gm1-F5", "Gm1-Q"])
+def test_unit_monomials_return_their_corner_products(name):
+    """A monomial with coefficient one returns the corner product p * A^a
+    itself, and every other polynomial is summed; with p not idempotent,
+    p * A^a differs from A^a, so a missing factor p would show."""
+    variety = RINGS[name]
+    ambient, field = variety.ambient, variety.field
+    p, mats = _noncommuting_setup(variety)
+    assert p * p != p
+
+    def term(a, b, c=1):
+        return Poly(ambient, {(a, b): field.from_int(c)})
+
+    entries = [term(2, 1), Poly.one(ambient), term(0, 2, 3), Poly.zero(ambient),
+               term(1, 0) + term(0, 1) + Poly.one(ambient), term(1, 0), term(2, 1)]
+    oracle = [term_by_term_corner_eval(p, mats, f) for f in entries]
+    assert oracle[0] != mats[0] * mats[0] * mats[1]
+    for order, want in ((entries, oracle), (entries[::-1], oracle[::-1])):
+        got = corner_eval(p, mats, order)
+        assert got == want
+        assert [str(m) for m in got] == [str(m) for m in want]
+    got = corner_eval(p, mats, entries)
+    assert got[1] is p
+    assert got[0] is got[6]
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_corner_eval_into_a_point(name):
     """A target with no variables: every polynomial is a constant c, sent to c*p."""
