@@ -1,7 +1,8 @@
 """Exact computer algebra for additive categories of matrix correspondences
 over presented affine varieties: composition pairing, functorial calculus,
-bimodule comparison, a certificate-driven K0, and a randomized law harness
-checking every categorical identity as an equality of normal forms."""
+the strict base-change layer of correspondences read as bimodules, a
+certificate-driven K0, and a randomized law harness checking every
+categorical identity as an equality of normal forms."""
 
 from .config import debug_validation
 from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, add_morphisms,
@@ -16,9 +17,8 @@ from .functors import (AutMorphism, AutObject, box_mor, box_product,
                        make_aut_morphism, make_aut_object, pullback_mor,
                        pullback_obj, pushforward_mor, pushforward_obj,
                        to_automorphism_object, to_torus_object)
-from .bimod import (BigBimodule, BimodulePresentation, big_lift, big_pullback,
-                    big_pushforward, bimodule_hom_valid, from_bimodule,
-                    restrict_base, to_bimodule)
+from .bimod import (BigBimodule, big_lift, big_pullback, big_pushforward,
+                    bimodule_hom_valid, restrict_base)
 from .k0 import (K0Class, K0Ledger, k0_class, k0_compose, k0_register,
                  k0_register_sum, pt_conjugation_certificate, rank,
                  transport_certificate)

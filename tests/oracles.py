@@ -8,7 +8,9 @@ denominator) pairs of ring elements.  The matrix oracles use the package's
 ``Poly`` arithmetic and ``normal_form`` (which the Buchberger oracle checks)
 but none of its matrix or corner-evaluation code: they are the plain dense
 loops.  The entrywise pullback substitutes along a variety map one entry at
-a time, where the package evaluates through the map's graph.
+a time, where the package evaluates through the map's graph.  The module-map
+test checks a correspondence morphism as a map of k[X x Y]-modules with
+those dense products, and none of the package's morphism checks.
 """
 
 from __future__ import annotations
@@ -269,3 +271,30 @@ def term_by_term_corner_eval(p, action_mats, poly):
         acc = [[acc[i][j] + term.rows[i][j].rep.scale(coeff) for j in range(n)]
                for i in range(n)]
     return Matrix(basis, [[QElem(basis, f) for f in row] for row in acc], n, n)
+
+
+def dense_module_hom(src, dst, mat):
+    """Whether ``mat`` is a k[X x Y]-module map between the modules that two
+    correspondences over one (X, Y) present, by dense products alone.
+
+    A correspondence presents the image of its idempotent p, with each
+    coordinate x of X acting by x*p and each coordinate of Y by its
+    generator image.  A module map is fixed by the idempotents,
+    ``p_dst * m * p_src = m``, and intertwines every one of those actions.
+    """
+    basis = src.X.gb
+    zero = QElem.zero(basis)
+
+    def times(x, p):
+        n = p.nrows
+        scalar = Matrix(basis, [[x if i == j else zero for j in range(n)]
+                                for i in range(n)], n, n)
+        return dense_matrix_product(scalar, p)
+
+    if dense_matrix_product(dense_matrix_product(dst.p, mat), src.p) != mat:
+        return False
+    actions = [(times(x, src.p), times(x, dst.p))
+               for x in (src.X.var(name) for name in src.X.vars)]
+    actions += zip(src.gen_images, dst.gen_images)
+    return all(dense_matrix_product(mat, a_src) == dense_matrix_product(a_dst, mat)
+               for a_src, a_dst in actions)

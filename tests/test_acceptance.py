@@ -10,13 +10,12 @@ import random
 from pathlib import Path
 
 from mutants import shuffled_flatten
-from oracles import (canonical, dense_kron, field_ops, naive_buchberger,
-                     poly_to_dict)
+from oracles import (canonical, dense_kron, dense_module_hom, field_ops,
+                     naive_buchberger, poly_to_dict)
 from kcorr import pairing
-from kcorr.bimod import bimodule_hom_valid, big_lift, big_pullback, \
-    big_pushforward, restrict_base, to_bimodule
+from kcorr.bimod import big_lift, big_pullback, big_pushforward, restrict_base
 from kcorr.corrcat import (graph_object, identity_morphism, identity_object,
-                           make_corr_morphism)
+                           make_corr_morphism, sum_injections)
 from kcorr.errors import InvalidMorphism
 from kcorr.exactalg import (Ambient, Matrix, PrimeField, QElem, QQ, buchberger,
                             parse_poly, scalar_value)
@@ -170,34 +169,51 @@ def test_criterion_06_torus_isomorphism():
                "pullback/pushforward naturality")
 
 
+def _with_corruption(mat, rng):
+    """``mat``, then a copy with one random entry raised by 1 unless it is empty."""
+    if not (mat.nrows and mat.ncols):
+        return [mat]
+    rows = [list(r) for r in mat.rows]
+    rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += \
+        QElem.one(mat.basis)
+    return [mat, Matrix(mat.basis, rows)]
+
+
+def _corr_hom_valid(src, dst, mat):
+    try:
+        make_corr_morphism(src, dst, mat)
+    except InvalidMorphism:
+        return False
+    return True
+
+
 def test_criterion_07_affine_comparison():
-    agreements = 0
+    agreements = biproduct = distinct = 0
     for field in FIELDS:
         pool = law_pool(field)
         rng = random.Random(derive_seed("acc-compare", field.name))
+        # the biproduct maps draw their corruptions apart from the main stream
+        biproduct_rng = random.Random(derive_seed("acc-compare-biproduct", field.name))
         while agreements < (150 if field is FIELDS[0] else 300):
             x, y = rng.choice(pool), rng.choice(pool)
             src = random_object(x, y, rng=rng, bounds=BOUNDS)
             mor = random_morphism_from(src, rng, BOUNDS)
-            candidates = [mor.mat]
-            if mor.mat.nrows and mor.mat.ncols:
-                rows = [list(r) for r in mor.mat.rows]
-                rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += \
-                    QElem.one(x.gb)
-                candidates.append(Matrix(x.gb, rows))
-            for mat in candidates:
-                try:
-                    make_corr_morphism(mor.src, mor.dst, mat)
-                    corr_ok = True
-                except InvalidMorphism:
-                    corr_ok = False
-                bim_ok = bimodule_hom_valid(to_bimodule(mor.src),
-                                            to_bimodule(mor.dst), mat)
-                assert corr_ok == bim_ok
+            for mat in _with_corruption(mor.mat, rng):
+                assert _corr_hom_valid(mor.src, mor.dst, mat) == \
+                    dense_module_hom(mor.src, mor.dst, mat)
                 agreements += 1
+            # most draws have equal endpoints; the biproduct maps mostly do not
+            for m in sum_injections(mor.src, mor.dst)[1:]:
+                for mat in _with_corruption(m.mat, biproduct_rng):
+                    assert _corr_hom_valid(m.src, m.dst, mat) == \
+                        dense_module_hom(m.src, m.dst, mat)
+                    biproduct += 1
+                    distinct += m.src != m.dst
     assert agreements >= 300
-    _report(7, f"{agreements} candidate matrices (valid and corrupted): "
-               "correspondence-hom and bimodule-hom verdicts agree exactly")
+    _report(7, f"{agreements} candidate matrices (valid and corrupted) and "
+               f"{biproduct} biproduct maps and corruptions ({distinct} between "
+               "distinct objects): correspondence-hom and the dense module-map "
+               "oracle agree exactly")
 
 
 def test_criterion_08_strict_base_change():

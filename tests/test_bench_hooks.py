@@ -33,14 +33,28 @@ def test_tracer_lists_hooks():
     assert ENTRIES
 
 
+def _resolve(module_name, path):
+    module = importlib.import_module(module_name)
+    if "." in path:
+        cls_name, attr = path.split(".")
+        return getattr(module, cls_name).__dict__[attr]
+    return getattr(module, path)
+
+
 @pytest.mark.parametrize("kind, name, module_name, path", ENTRIES,
                          ids=[f"{kind}:{module}:{path}"
                               for kind, _, module, path in ENTRIES])
 def test_hook_resolves(kind, name, module_name, path):
-    module = importlib.import_module(module_name)
-    if "." in path:
-        cls_name, attr = path.split(".")
-        original = getattr(module, cls_name).__dict__[attr]
-    else:
-        original = getattr(module, path)
-    assert callable(original)
+    assert callable(_resolve(module_name, path))
+
+
+def test_hooks_wrap_distinct_functions():
+    """``Tracer._rebind`` rebinds by object identity, so two entries naming
+    one function (an alias such as ``f = g``) would wrap it twice and count
+    its calls under both entries."""
+    originals = {}
+    for _, _, module_name, path in ENTRIES:
+        originals.setdefault(id(_resolve(module_name, path)), []).append(
+            f"{module_name}:{path}")
+    shared = [names for names in originals.values() if len(names) > 1]
+    assert not shared, f"entries resolving to one function: {shared}"

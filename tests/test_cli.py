@@ -119,6 +119,16 @@ def test_compare_bimodule(session_file, capsys):
     assert "agree: True" in out
 
 
+def test_bimodule_and_torus_session_matches_its_golden_output(capsys):
+    """The session of ``rho``, ``rho-inv`` and ``compare-bimodule`` prints
+    exactly its recorded output, on stdout only, and exits 0."""
+    data = Path(__file__).resolve().parent / "data"
+    assert main(["run", str(data / "bimodule_and_torus.kc")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (data / "bimodule_and_torus.out").read_text(encoding="utf-8")
+    assert captured.err == ""
+
+
 def test_run_executes_commands(tmp_path, capsys):
     path = tmp_path / "run.kc"
     path.write_text(SESSION + "validate\ncompose G G\n", encoding="utf-8")
@@ -308,8 +318,9 @@ def test_huge_field_modulus_in_laws_is_an_input_error(capsys):
 
 
 def test_compare_bimodule_with_invalid_matrices(tmp_path, capsys):
-    """A matrix that does not intertwine, then one of the wrong shape: both
-    sides reject each, the first by test and the second by raising."""
+    """A matrix that does not intertwine, then one of the wrong shape: the
+    one morphism predicate rejects the first by test and the second by
+    raising, and both verdict lines say invalid."""
     path = tmp_path / "invalid.kc"
     path.write_text(SESSION + "corr H : A1 -> A1 { n = 2; unit = [[1, 0], [0, 1]]; "
                     "gen x = [[x, 0], [0, 0]] }\n"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mutants import doubled_flatten
+from mutants import doubled_flatten, doubled_pull_matrices
 from oracles import entrywise_pull, term_by_term_corner_eval
 from kcorr.config import debug_validation
 from kcorr.corrcat import (CorrObject, graph_object, make_correspondence,
@@ -284,13 +284,6 @@ def test_torus_naturality_conditions(pool):
                 product_morphism(g, identity_map(torus)), torus_obj))
 
 
-def _corrupt_pullbacks(monkeypatch):
-    """Make every matrix the functors pull back along a map twice the true one."""
-    true_pull = functors.pull_matrices
-    monkeypatch.setattr(functors, "pull_matrices",
-                        lambda f, mats: [m + m for m in true_pull(f, mats)])
-
-
 def test_corrupted_pullback_is_an_internal_violation(pool, monkeypatch):
     pt, line, *_ = pool
     phi = graph_object(make_morphism(line, line, ["x^2"]))
@@ -307,7 +300,7 @@ def test_corrupted_torus_object_is_an_internal_violation(pool, monkeypatch):
     pt, line, two, gm = pool
     aut = random_aut_object(line, two, 1, seed=1, bounds=BOUNDS)
     assert not aut.base.p.is_zero()
-    _corrupt_pullbacks(monkeypatch)
+    monkeypatch.setattr(functors, "pull_matrices", doubled_pull_matrices)
     corrupted = pullback_aut(make_morphism(pt, line, ["2"]), aut)
     with debug_validation():
         with pytest.raises(InternalLawViolation, match="derived CorrObject"):

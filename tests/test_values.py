@@ -10,7 +10,7 @@ import importlib
 import pytest
 
 from kcorr import values
-from kcorr.bimod import BigBimodule, BimodulePresentation, big_lift, to_bimodule
+from kcorr.bimod import BigBimodule, big_lift
 from kcorr.corrcat import CorrMorphism, CorrObject, IsoCertificate, identity_object
 from kcorr.exactalg import QQ
 from kcorr.functors import AutMorphism, AutObject
@@ -28,7 +28,6 @@ FROZEN = [
     (VarMorphism, ("source", "target", "images")),
     (AutObject, ("base", "thetas")),
     (AutMorphism, ("src", "dst", "underlying")),
-    (BimodulePresentation, ("X", "Y", "n", "proj", "y_actions")),
     (BigBimodule, ("root", "morphism")),
     (K0Class, ("terms",)),
     (GenBounds, ("max_n", "max_deg", "max_elementary", "zero_weight")),
@@ -114,10 +113,10 @@ def test_every_value_type_is_pinned():
 
 
 def test_equality_requires_the_same_class():
-    values = ("X", "Y", "n", "p", "gen_images")
-    assert CorrObject(*values) != BimodulePresentation(*values)
-    assert BimodulePresentation(*values) != CorrObject(*values)
-    assert len({CorrObject(*values), BimodulePresentation(*values)}) == 2
+    values = ("src", "dst", "mat")
+    assert CorrMorphism(*values) != AutMorphism(*values)
+    assert AutMorphism(*values) != CorrMorphism(*values)
+    assert len({CorrMorphism(*values), AutMorphism(*values)}) == 2
 
 
 def test_session_equality_ignores_command_lines():
@@ -172,8 +171,6 @@ def test_own_reprs():
     assert repr(CorrMorphism(obj, obj, obj.p)) == (
         "CorrMorphism(CorrObject(A1 -> A1, n=1) => CorrObject(A1 -> A1, n=1))")
     assert repr(VarMorphism(pt, pt, ())) == "VarMorphism(pt -> pt: )"
-    assert repr(to_bimodule(obj)) == "BimodulePresentation(A1 x A1, n=1)"
-    assert repr(big_lift(obj)) == (
-        "BigBimodule(BimodulePresentation(A1 x A1, n=1) via A1 -> A1)")
+    assert repr(big_lift(obj)) == "BigBimodule(CorrObject(A1 -> A1, n=1) via A1 -> A1)"
     assert repr(K0Class(())) == "K0Class(0)"
     assert repr(K0Class(((0, 2), (1, -1)))) == "K0Class(2*[0] + -1*[1])"
