@@ -1,17 +1,21 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from kcorr.corrcat import make_correspondence
 from kcorr.errors import GenerationFailed
-from kcorr.exactalg import PrimeField, QQ
+from kcorr.exactalg import Matrix, PrimeField, QQ
 from kcorr.k0 import rank
-from kcorr.laws import law_pool
+from kcorr.laws import LAW_BOUNDS, law_pool
 from kcorr.randomgen import (GenBounds, _breaks_at, _scalar_points, _test_points,
-                             derive_seed, random_aut_object, random_morphism_from,
-                             random_object, random_poly, sample_map,
-                             sample_point)
+                             derive_seed, random_aut_object, random_conjugator,
+                             random_morphism_from, random_object, random_poly,
+                             sample_map, sample_point)
+from kcorr.session import Session, format_decls, format_matrix
 from kcorr.varieties import broken_relation, gm_power, make_variety, point
+
+GENERATED_VALUES = Path(__file__).parent / "data" / "generated_values.txt"
 
 
 def test_derive_seed_is_stable():
@@ -129,3 +133,43 @@ def test_point_filter_never_rejects_an_accepted_candidate():
                     rejected += filtered
                 assert accepted >= 20
     assert rejected
+
+
+def generated_values() -> str:
+    """Objects, morphisms, conjugators and aut objects drawn over F5 and Q
+    under three bounds and ten seeds, each case followed by the next draw of
+    its stream, so the amount a case draws is pinned too.  Every conjugator
+    is checked against its inverse on both sides."""
+    lines = []
+    bounds_list = (LAW_BOUNDS, GenBounds(), GenBounds(max_n=4, max_elementary=4))
+    for field in (PrimeField(5), QQ):
+        pool = law_pool(field)
+        for b, bounds in enumerate(bounds_list):
+            for seed in range(10):
+                rng = random.Random(derive_seed("generated values", field.name, b, seed))
+                x, y = rng.choice(pool), rng.choice(pool)
+                s = Session(field=field)
+                obj = random_object(x, y, rng=rng, bounds=bounds)
+                s.declare("C", obj)
+                s.declare("M", random_morphism_from(obj, rng, bounds))
+                n = rng.randint(0, 4)
+                u, u_inv = random_conjugator(x, n, rng, bounds)
+                assert u * u_inv == u_inv * u == Matrix.identity(x.gb, n)
+                s.declare("R", random_aut_object(x, y, 2, rng=rng, bounds=bounds))
+                lines.append(f"case {field.name} bounds {b} seed {seed}")
+                lines.extend(format_decls(s))
+                lines.append(f"conjugator {n} {format_matrix(u)} {format_matrix(u_inv)}")
+                lines.append(f"next {rng.random()!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_generated_values_match_golden():
+    """The generators draw exactly what they drew when the golden file was
+    recorded.  A change that means to draw differently (ROADMAP item 18
+    plans one) re-pins the file on purpose and says why in CHANGES.md:
+    ``PYTHONPATH=src python tests/test_randomgen.py`` rewrites it."""
+    assert generated_values() == GENERATED_VALUES.read_text()
+
+
+if __name__ == "__main__":
+    GENERATED_VALUES.write_text(generated_values())
