@@ -164,7 +164,7 @@ class Poly:
         return self.sorted_terms()[0][0]
 
     def leading_coefficient(self):
-        return self.sorted_terms()[0][1]
+        return self.terms[self.leading_monomial()]
 
     # arithmetic ---------------------------------------------------------
 

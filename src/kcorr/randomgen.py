@@ -6,7 +6,8 @@ built as base-change conjugates of diagonal models whose diagonal slots are
 points of the target variety with coordinates in the base ring, which makes
 every target relation hold slotwise by construction.  Where the target has
 no relations the generator instead uses free polynomials in a single corner
-element, which gives denser, less structured instances.
+element, which gives denser, less structured instances.  Conjugators are
+products of elementary matrices, applied as column and row operations.
 
 Points of a target with relations come from rejection sampling: each
 candidate is a tuple of random polynomials, first evaluated at up to three
@@ -40,7 +41,10 @@ def derive_seed(*parts) -> int:
 
 
 class GenBounds(Frozen):
-    """Size knobs for the generators; defaults match the documented limits."""
+    """Size knobs for the generators: ``max_n`` is the largest object size,
+    ``max_deg`` the largest degree of a sampled polynomial, ``max_elementary``
+    the most elementary factors in a conjugator, and ``zero_weight`` the
+    chance that ``random_object`` returns the zero object."""
 
     def __init__(self, max_n: int = 3, max_deg: int = 2, max_elementary: int = 3,
                  zero_weight: float = 0.08):
@@ -157,45 +161,49 @@ def sample_map(x: AffVariety, y: AffVariety, rng: random.Random,
 
 def random_conjugator(x: AffVariety, n: int, rng: random.Random,
                       bounds: GenBounds):
-    """A product of elementary matrices over k[x], with its exact inverse."""
+    """A product of elementary matrices over k[x], with its exact inverse.
+    Each factor ``1 + lam*E_ij`` adds ``lam`` times column ``i`` of ``u`` to
+    column ``j``, and its inverse subtracts ``lam`` times row ``j`` of
+    ``u_inv`` from row ``i``."""
     basis = x.gb
-    u = Matrix.identity(basis, n)
-    u_inv = Matrix.identity(basis, n)
-    if n < 2:
-        return u, u_inv
-    for _ in range(rng.randint(0, bounds.max_elementary)):
+    one, zero = QElem.one(basis), QElem.zero(basis)
+    u = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    u_inv = [[one if r == c else zero for c in range(n)] for r in range(n)]
+    for _ in range(rng.randint(0, bounds.max_elementary) if n >= 2 else 0):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
         lam = x.qelem(random_poly(x, rng, max(1, bounds.max_deg - 1), 1))
-        e = Matrix.identity(basis, n)
-        rows = [list(r) for r in e.rows]
-        rows[i][j] = lam
-        e = Matrix(basis, rows, n, n)
-        rows_inv = [list(r) for r in Matrix.identity(basis, n).rows]
-        rows_inv[i][j] = -lam
-        e_inv = Matrix(basis, rows_inv, n, n)
-        u = u * e
-        u_inv = e_inv * u_inv
-    return u, u_inv
+        for row in u:
+            row[j] = row[j] + lam * row[i]
+        u_inv[i] = [a - lam * b for a, b in zip(u_inv[i], u_inv[j])]
+    return Matrix(basis, u, n, n), Matrix(basis, u_inv, n, n)
 
 
 # -- objects -------------------------------------------------------------------
 
 
+def _padded_diagonal(basis, entries: list, n: int) -> Matrix:
+    """The n x n diagonal matrix of ``entries`` followed by zeros."""
+    return Matrix.diagonal(basis, entries + [QElem.zero(basis)] * (n - len(entries)))
+
+
+def _random_corner(x: AffVariety, p: Matrix, rng: random.Random) -> Matrix:
+    """``p*raw*p`` for a square ``raw`` of random polynomials, drawn row by row."""
+    n = p.nrows
+    raw = Matrix(x.gb, [[x.qelem(random_poly(x, rng, 1, 1)) for _ in range(n)]
+                        for _ in range(n)], n, n)
+    return p * raw * p
+
+
 def _diagonal_model(x: AffVariety, y: AffVariety, n: int, rank: int,
                     rng: random.Random, bounds: GenBounds):
     """Diagonal idempotent and per-slot target points, before conjugation."""
-    basis = x.gb
-    one = QElem.one(basis)
-    zero = QElem.zero(basis)
-    p = Matrix.diagonal(basis, [one] * rank + [zero] * (n - rank))
+    p = _padded_diagonal(x.gb, [QElem.one(x.gb)] * rank, n)
     slots = [sample_point(x, y, rng, bounds.max_deg) for _ in range(rank)]
-    gen_mats = []
-    for j in range(len(y.vars)):
-        diag = [slots[i][j] for i in range(rank)] + [zero] * (n - rank)
-        gen_mats.append(Matrix.diagonal(basis, diag))
+    gen_mats = [_padded_diagonal(x.gb, [slot[j] for slot in slots], n)
+                for j in range(len(y.vars))]
     return p, gen_mats
 
 
@@ -205,13 +213,8 @@ def _corner_polynomial_model(x: AffVariety, y: AffVariety, n: int, rank: int,
 
     Only sound when the target has no relations to satisfy.
     """
-    basis = x.gb
-    one = QElem.one(basis)
-    zero = QElem.zero(basis)
-    p = Matrix.diagonal(basis, [one] * rank + [zero] * (n - rank))
-    raw = Matrix(basis, [[x.qelem(random_poly(x, rng, 1, 1)) for _ in range(n)]
-                         for _ in range(n)], n, n)
-    corner = p * raw * p
+    p = _padded_diagonal(x.gb, [QElem.one(x.gb)] * rank, n)
+    corner = _random_corner(x, p, rng)
     gen_mats = []
     for _ in y.vars:
         acc = p.scale(random_scalar(x.field, rng))
@@ -248,14 +251,10 @@ def conjugate_object(obj: CorrObject, u: Matrix, u_inv: Matrix) -> CorrObject:
 
 def random_endo_matrix(obj: CorrObject, rng: random.Random) -> Matrix:
     """A matrix commuting with the actions and fixed by the corner."""
-    basis = obj.X.gb
-    n = obj.n
-    if n == 0:
-        return Matrix.zeros(basis, 0, 0)
+    if obj.n == 0:
+        return Matrix.zeros(obj.X.gb, 0, 0)
     if not obj.gen_images:
-        raw = Matrix(basis, [[obj.X.qelem(random_poly(obj.X, rng, 1, 1))
-                              for _ in range(n)] for _ in range(n)], n, n)
-        return obj.p * raw * obj.p
+        return _random_corner(obj.X, obj.p, rng)
     acc = obj.p.scale(random_scalar(obj.X.field, rng))
     for a in obj.gen_images:
         acc = acc + a.scale(random_scalar(obj.X.field, rng))
@@ -293,14 +292,11 @@ def random_aut_object(x: AffVariety, y: AffVariety, arity: int,
     p, gen_mats = _diagonal_model(x, y, n, rank, rng, bounds)
     field = x.field
     basis = x.gb
-    zero = QElem.zero(basis)
     theta_diags = []
     for _ in range(arity):
         lams = [random_scalar(field, rng, nonzero=True) for _ in range(rank)]
-        fwd = Matrix.diagonal(basis, [QElem.const(basis, c) for c in lams]
-                              + [zero] * (n - rank))
-        bwd = Matrix.diagonal(basis, [QElem.const(basis, field.inv(c)) for c in lams]
-                              + [zero] * (n - rank))
+        fwd = _padded_diagonal(basis, [QElem.const(basis, c) for c in lams], n)
+        bwd = _padded_diagonal(basis, [QElem.const(basis, field.inv(c)) for c in lams], n)
         theta_diags.append((fwd, bwd))
     u, u_inv = random_conjugator(x, n, rng, bounds)
     base = conjugate_object(CorrObject(x, y, n, p, tuple(gen_mats)), u, u_inv)

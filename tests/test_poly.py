@@ -175,6 +175,11 @@ def test_substitute_and_rename():
     assert f.rename({"x": "x", "y": "y"}, wide) == parse_poly("x^2 + y", wide)
 
 
+def test_reprs():
+    assert repr(parse_poly("x^2 + 1", AMB)) == "Poly(x^2 + 1)"
+    assert repr(QElem(buchberger([], AMB), parse_poly("x", AMB))) == "QElem(x)"
+
+
 def test_ambient_mismatch():
     other = Ambient(("x", "y"), QQ, LEX)
     with pytest.raises(AmbientMismatch):
@@ -190,6 +195,10 @@ U5 = Ambient(("u",), PrimeField(5), DEGREVLEX)
      "unknown monomial order 'grlex'"),
     (lambda: Poly.zero(AMB).leading_monomial(), InvalidArity,
      "zero polynomial has no leading term"),
+    (lambda: Poly.zero(AMB).leading_coefficient(), InvalidArity,
+     "zero polynomial has no leading term"),
+    (lambda: Poly.zero(AMB).monic(), InvalidArity,
+     "zero polynomial has no leading term"),
     (lambda: parse_poly("x", AMB) ** -1, InvalidArity, "negative polynomial power"),
     (lambda: parse_poly("x + y", AMB).substitute({"x": parse_poly("u", U)}, U),
      UnknownVariable, "no image supplied for 'y'"),
@@ -200,7 +209,8 @@ U5 = Ambient(("u",), PrimeField(5), DEGREVLEX)
      "Ambient(['x', 'y'], Q, degrevlex) vs Ambient(['u'], Q, degrevlex)"),
     (lambda: QElem.one(buchberger([], U)) * QElem.one(buchberger([], U5)),
      AmbientMismatch, "elements of different quotient rings"),
-], ids=["order", "leading-of-zero", "negative-power", "missing-image", "other-field",
+], ids=["order", "leading-of-zero", "leading-coefficient-of-zero", "monic-of-zero",
+        "negative-power", "missing-image", "other-field",
         "element-over-other-ambient", "elements-of-two-rings"])
 def test_input_errors(build, error, message):
     with pytest.raises(error) as info:

@@ -55,6 +55,23 @@ def test_round_trip_is_exact():
     assert print_session(parse_session(printed)) == printed
 
 
+ROOT = Path(__file__).resolve().parent.parent
+# the bad inputs that fail to parse; the CLI job checks where each fails
+UNPARSABLE = {"deep_parentheses.kc", "huge_coefficient.kc", "huge_power.kc",
+              "not_utf8.kc", "text_after_block.kc", "unknown_variable_in_block.kc"}
+SESSION_FILES = [ROOT / "examples" / "tour.kc"] + [
+    path for path in sorted((ROOT / "tests" / "data").glob("*.kc"))
+    if path.name not in UNPARSABLE]
+
+
+@pytest.mark.parametrize("path", SESSION_FILES, ids=lambda path: path.name)
+def test_session_files_round_trip(path):
+    s = parse_session(path.read_text(encoding="utf-8-sig"))
+    printed = print_session(s)
+    assert parse_session(printed) == s
+    assert print_session(parse_session(printed)) == printed
+
+
 def test_prime_field_session():
     text = "field Fp 5\nvariety V { vars = [x]; ideal = [] }\n"
     s = parse_session(text)
@@ -199,6 +216,11 @@ def test_register_rejects_a_used_name():
             s.declare(name, value)
     assert s.decls == [("variety", "pt"), ("corr", "C")]
     assert parse_session(print_session(s)) == s
+
+
+def test_declare_rejects_what_is_not_a_value():
+    with pytest.raises(TypeError, match="^cannot declare a int$"):
+        Session().declare("x", 3)
 
 
 @pytest.mark.parametrize("decl, column, message", [
