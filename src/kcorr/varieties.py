@@ -40,7 +40,11 @@ class AffVariety(Frozen):
 
     @cached_property
     def gb(self):
-        """The reduced degrevlex basis, computed when first used."""
+        """The reduced degrevlex basis, looked up when first used.
+
+        Equal presentations, and the products and tori built from them,
+        share one basis object per process (see :func:`buchberger`).
+        """
         return buchberger(self.ideal_gens, self.ambient)
 
     # ring access ---------------------------------------------------------

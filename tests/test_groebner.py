@@ -11,7 +11,8 @@ from kcorr.exactalg import (Ambient, GroebnerBasis, Poly, PrimeField, QQ, buchbe
                             groebner, normal_form, parse_poly, quotient_eq)
 from kcorr.exactalg.groebner import reduce_poly
 from kcorr.exactalg.poly import mono_divides
-from kcorr.laws import law_pool
+from kcorr.laws import law_pool, law_suite
+from kcorr.varieties import gm_power, make_variety, product
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_groebner.json").read_text())
 
@@ -281,8 +282,10 @@ def test_catalogue_basis_certificate_and_pair_count(name, field_label, monkeypat
         return s_poly(f, g)
 
     monkeypatch.setattr(groebner, "_s_poly", counting_s_poly)
+    # an empty table, so the algorithm runs and its pairs are counted
+    monkeypatch.setattr(groebner, "_BASES", {})
     gb = buchberger(gens, amb)
-    assert len(made) <= 16
+    assert 0 < len(made) <= 16
 
     for g in gens:
         assert gb.normal_form(g).is_zero()
@@ -295,3 +298,72 @@ def test_catalogue_basis_certificate_and_pair_count(name, field_label, monkeypat
         assert g.sorted_terms()[0][1] == field.one
         others = gb.gens[:i] + gb.gens[i + 1:]
         assert groebner.reduce_poly(g, others) == g
+
+
+# -- one reduced basis per generator list ----------------------------------------
+
+def test_equal_generator_lists_share_one_basis(monkeypatch):
+    monkeypatch.setattr(groebner, "_BASES", {})
+    amb = Ambient(("x", "y"), QQ, "lex")
+    gens = [parse_poly("x^2 - y", amb), parse_poly("x*y - 1", amb)]
+    gb = buchberger(gens, amb)
+    assert buchberger(list(gens), amb) is gb
+    assert buchberger(tuple(gens)) is gb
+    # equal generators parsed apart, over an equal ambient built apart
+    twin = Ambient(("x", "y"), QQ, "lex")
+    assert buchberger([parse_poly("x^2 - y", twin), parse_poly("x*y - 1", twin)]) is gb
+    # zero generators do not change the key
+    zero = Poly.zero(amb)
+    assert buchberger([zero] + gens + [zero], amb) is gb
+    assert buchberger([zero], amb) is buchberger([], amb)
+    assert len(groebner._BASES) == 2
+
+
+def test_fields_and_orders_key_distinct_bases(monkeypatch):
+    monkeypatch.setattr(groebner, "_BASES", {})
+    texts = ["x^2 - y", "x*y - 1"]
+    bases = []
+    for field in (QQ, PrimeField(5)):
+        for order in ("lex", "degrevlex"):
+            amb = Ambient(("x", "y"), field, order)
+            bases.append(buchberger([parse_poly(t, amb) for t in texts], amb))
+    assert len({id(gb) for gb in bases}) == 4
+    assert len(groebner._BASES) == 4
+    assert [str(g) for g in bases[0].gens] == ["y^3 - 1", "x - y^2"]
+
+
+def test_errors_still_raise_on_a_warm_table():
+    amb = Ambient(("x", "y"), QQ, "lex")
+    other = Ambient(("x", "y"), QQ, "degrevlex")
+    x, y = parse_poly("x", amb), parse_poly("y", other)
+    buchberger([], amb)
+    buchberger([x], amb)
+    buchberger([y], other)
+    with pytest.raises(AmbientMismatch) as info:
+        buchberger([])
+    assert info.value.detail == "cannot infer ambient from an empty generator list"
+    with pytest.raises(AmbientMismatch):
+        buchberger([x, y])
+    with pytest.raises(AmbientMismatch):
+        buchberger([x], other)
+
+
+def test_products_built_apart_share_one_basis():
+    a = make_variety("A", ("u",), ["u^2 - u"], QQ)
+    b = gm_power(1, QQ)
+    first, second = product(a, b), product(a, b)
+    assert first is not second and first == second
+    assert first.gb is second.gb
+
+
+def test_law_report_does_not_depend_on_the_table(monkeypatch):
+    def text():
+        report = law_suite(seed=7, cases=3).to_text()
+        return [line for line in report.splitlines() if not line.startswith("wall-time:")]
+
+    monkeypatch.setattr(groebner, "_BASES", {})
+    cold = text()
+    assert groebner._BASES
+    assert text() == cold
+    golden = Path(__file__).parent / "data" / "laws_seed7.txt"
+    assert cold == golden.read_text().splitlines()

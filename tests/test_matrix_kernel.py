@@ -324,8 +324,7 @@ def test_separately_built_equal_bases_compare_equal():
     assert a * b == Matrix.identity(twin, 1) == Matrix.identity(variety.gb, 1)
 
 
-def _fresh_basis(label):
-    """A newly built basis, so its memo of monomial normal forms is empty."""
+def _reduced_basis(label):
     kind, name = label.split(":")
     if kind == "ring":
         return buchberger(RINGS[name].ideal_gens, RINGS[name].ambient)
@@ -335,6 +334,13 @@ def _fresh_basis(label):
     ambient = Ambient(tuple(case["vars"]), QQ if case["field"] == "Q" else F5,
                       case["order"])
     return buchberger([parse_poly(g, ambient) for g in case["gens"]], ambient)
+
+
+def _fresh_basis(label):
+    """An equal copy of the shared basis, so its memo of monomial normal
+    forms is empty."""
+    basis = _reduced_basis(label)
+    return GroebnerBasis(basis.ambient, basis.gens)
 
 
 def _random_poly(ambient, rng, max_exp=6, max_terms=6):
