@@ -59,9 +59,8 @@ def corner_eval(p: Matrix, action_mats, polys) -> list[Matrix]:
     def corner(mono):
         entries = corners.get(mono)
         if entries is None:
-            entries = corners[mono] = [((i, j), entry.rep.terms)
-                                       for i, row in enumerate(product(mono).rows)
-                                       for j, entry in enumerate(row) if entry.rep.terms]
+            entries = corners[mono] = [(pos, entry.rep.terms) for pos, entry
+                                       in product(mono).entries.items()]
         return entries
 
     results = []
@@ -83,11 +82,11 @@ def corner_eval(p: Matrix, action_mats, polys) -> list[Matrix]:
                 for m, c in entry_terms.items():
                     prev = terms.get(m)
                     terms[m] = mul(coeff, c) if prev is None else add(prev, mul(coeff, c))
-        out = [list(row) for row in zero_block.rows]
-        for (i, j), terms in acc.items():
+        out = {}
+        for pos, terms in acc.items():
             rep = Poly(ambient, terms)
             if rep.terms:
-                out[i][j] = QElem(basis, rep, reduced=True)
+                out[pos] = QElem(basis, rep, reduced=True)
         results.append(Matrix(basis, out, n, n))
     return results
 

@@ -1,6 +1,10 @@
 """Exact matrices over quotient rings, plus the linear algebra the package
 needs: block assembly and two eliminations.
 
+A matrix keeps only its nonzero entries, keyed by position, and every entry
+it stores is ring-checked; its dense ``rows`` are a view built on first
+read, for printing and the eliminations.
+
 Scalar matrices (entries in the base field) go through one reduced row
 echelon helper, :func:`scalar_rref`; the rank factorizations behind k0's
 certificates are built on it.  Rank over the fraction field of an integral
@@ -15,34 +19,73 @@ from .quotient import QElem
 
 
 class Matrix:
-    """Immutable matrix with QElem entries over a fixed quotient ring."""
+    """Immutable matrix with QElem entries over a fixed quotient ring.
 
-    __slots__ = ("basis", "nrows", "ncols", "rows", "_hash")
+    A matrix stores its nonzero entries only: ``entries`` maps each
+    ``(row, column)`` where the matrix is nonzero to its entry.  Every
+    stored entry has passed the ring check.  ``rows`` is a dense view, a
+    tuple of row tuples with the basis's shared zero at every other
+    position; it is built the first time something reads it and then kept.
+    The kernel operations below read and build ``entries`` only, so none of
+    them touches a zero.
+    """
+
+    __slots__ = ("basis", "nrows", "ncols", "entries", "_rows", "_hash")
 
     def __init__(self, basis: GroebnerBasis, rows, nrows=None, ncols=None):
-        rows = tuple(tuple(r) for r in rows)
-        if nrows is None:
-            nrows = len(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
-            raise ShapeError("ragged matrix data")
-        for r in rows:
-            for e in r:
+        """``rows`` is either dense rows or a dict of entries keyed by
+        ``(row, column)``, for which ``nrows`` and ``ncols`` are required.
+        Zero entries are dropped; entries over another ring raise
+        ``AmbientMismatch`` and positions outside the shape ``ShapeError``."""
+        entries = {}
+        if isinstance(rows, dict):
+            if nrows is None or ncols is None:
+                raise ShapeError("a matrix given by its entries needs its shape")
+            for (i, j), e in rows.items():
+                if not (0 <= i < nrows and 0 <= j < ncols):
+                    raise ShapeError(
+                        f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
                 if e.basis is not basis and e.basis != basis:
                     raise AmbientMismatch("matrix entry over a different ring")
+                if e.rep.terms:
+                    entries[i, j] = e
+        else:
+            rows = [tuple(r) for r in rows]
+            if nrows is None:
+                nrows = len(rows)
+            if ncols is None:
+                ncols = len(rows[0]) if rows else 0
+            if len(rows) != nrows or any(len(r) != ncols for r in rows):
+                raise ShapeError("ragged matrix data")
+            for i, r in enumerate(rows):
+                for j, e in enumerate(r):
+                    if e.basis is not basis and e.basis != basis:
+                        raise AmbientMismatch("matrix entry over a different ring")
+                    if e.rep.terms:
+                        entries[i, j] = e
         self.basis = basis
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
+        self.entries = entries
+        self._rows = None
         self._hash = None
+
+    @property
+    def rows(self) -> tuple:
+        """The dense rows, built on first read."""
+        if self._rows is None:
+            zero = QElem.zero(self.basis)
+            dense = [[zero] * self.ncols for _ in range(self.nrows)]
+            for (i, j), e in self.entries.items():
+                dense[i][j] = e
+            self._rows = tuple(map(tuple, dense))
+        return self._rows
 
     # constructors --------------------------------------------------------
 
     @staticmethod
     def zeros(basis: GroebnerBasis, nrows: int, ncols: int) -> "Matrix":
-        z = QElem.zero(basis)
-        return Matrix(basis, [[z] * ncols for _ in range(nrows)], nrows, ncols)
+        return Matrix(basis, {}, nrows, ncols)
 
     @staticmethod
     def identity(basis: GroebnerBasis, n: int) -> "Matrix":
@@ -52,9 +95,7 @@ class Matrix:
     def diagonal(basis: GroebnerBasis, entries) -> "Matrix":
         entries = list(entries)
         n = len(entries)
-        z = QElem.zero(basis)
-        return Matrix(basis, [[entries[i] if i == j else z for j in range(n)]
-                              for i in range(n)], n, n)
+        return Matrix(basis, {(i, i): e for i, e in enumerate(entries)}, n, n)
 
     # basic operations ------------------------------------------------------
 
@@ -62,31 +103,38 @@ class Matrix:
         if self.basis != other.basis:
             raise AmbientMismatch("matrices over different rings")
 
+    def _map(self, f) -> "Matrix":
+        """The matrix of ``f(entry)`` at each nonzero entry; f(0) must be 0."""
+        return Matrix(self.basis, {pos: f(e) for pos, e in self.entries.items()},
+                      self.nrows, self.ncols)
+
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_ring(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("matrix addition shape mismatch")
-        return Matrix(self.basis,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)],
-                      self.nrows, self.ncols)
+        out = dict(self.entries)
+        for pos, b in other.entries.items():
+            a = out.get(pos)
+            out[pos] = b if a is None else a + b
+        return Matrix(self.basis, out, self.nrows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_ring(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("matrix subtraction shape mismatch")
-        return Matrix(self.basis,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.rows, other.rows)],
-                      self.nrows, self.ncols)
+        out = dict(self.entries)
+        for pos, b in other.entries.items():
+            a = out.get(pos)
+            out[pos] = -b if a is None else a - b
+        return Matrix(self.basis, out, self.nrows, self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.basis, [[-a for a in r] for r in self.rows],
-                      self.nrows, self.ncols)
+        return self._map(QElem.__neg__)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """Sparse product: each output entry is summed in one term map and
-        reduced once, and only when it is nonzero."""
+        """Sparse product: the right factor's entries are grouped by row
+        once, each output entry is summed in one term map and reduced once,
+        and only when it is nonzero."""
         self._check_ring(other)
         if self.ncols != other.nrows:
             raise ShapeError(
@@ -95,77 +143,77 @@ class Matrix:
         ambient = basis.ambient
         field = ambient.field
         add, mul = field.add, field.mul
-        zero = QElem.zero(basis)
-        # nonzero (column, terms) of each row of the right factor
-        right = [[(j, e.rep.terms) for j, e in enumerate(row) if e.rep.terms]
-                 for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc: dict = {}
-            for a, right_row in zip(row, right):
-                a_terms = a.rep.terms
-                if not a_terms:
-                    continue
-                for j, b_terms in right_row:
-                    terms = acc.get(j)
-                    if terms is None:
-                        terms = acc[j] = {}
-                    for m1, c1 in a_terms.items():
-                        for m2, c2 in b_terms.items():
-                            m = mono_mul(m1, m2)
-                            prev = terms.get(m)
-                            terms[m] = (mul(c1, c2) if prev is None
-                                        else add(prev, mul(c1, c2)))
-            out_row = [zero] * other.ncols
-            for j, terms in acc.items():
-                poly = Poly(ambient, terms)
-                if poly.terms:
-                    out_row[j] = QElem(basis, poly)
-            out.append(out_row)
+        # (column, terms) of the right factor's entries in each row
+        right: dict = {}
+        for (k, j), b in other.entries.items():
+            right_row = right.get(k)
+            if right_row is None:
+                right_row = right[k] = []
+            right_row.append((j, b.rep.terms))
+        acc: dict = {}
+        for (i, k), a in self.entries.items():
+            right_row = right.get(k)
+            if right_row is None:
+                continue
+            a_terms = a.rep.terms
+            for j, b_terms in right_row:
+                terms = acc.get((i, j))
+                if terms is None:
+                    terms = acc[i, j] = {}
+                for m1, c1 in a_terms.items():
+                    for m2, c2 in b_terms.items():
+                        m = mono_mul(m1, m2)
+                        prev = terms.get(m)
+                        terms[m] = (mul(c1, c2) if prev is None
+                                    else add(prev, mul(c1, c2)))
+        out = {}
+        for pos, terms in acc.items():
+            poly = Poly(ambient, terms)
+            if poly.terms:
+                out[pos] = QElem(basis, poly)
         return Matrix(basis, out, self.nrows, other.ncols)
 
     def scale(self, c) -> "Matrix":
-        return Matrix(self.basis, [[a.scale(c) for a in r] for r in self.rows],
-                      self.nrows, self.ncols)
+        return self._map(lambda a: a.scale(c))
 
     def scale_elem(self, q: QElem) -> "Matrix":
-        return Matrix(self.basis, [[a * q for a in r] for r in self.rows],
-                      self.nrows, self.ncols)
+        return self._map(lambda a: a * q)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
+        return not self.entries
 
     def __getitem__(self, idx):
         i, j = idx
-        return self.rows[i][j]
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
+        e = self.entries.get((i, j))
+        return QElem.zero(self.basis) if e is None else e
 
     # block assembly ----------------------------------------------------
 
     @staticmethod
     def block_diag(basis: GroebnerBasis, blocks) -> "Matrix":
-        blocks = list(blocks)
-        nrows = sum(b.nrows for b in blocks)
-        ncols = sum(b.ncols for b in blocks)
-        out = [[QElem.zero(basis)] * ncols for _ in range(nrows)]
+        out = {}
         r0 = c0 = 0
         for b in blocks:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    out[r0 + i][c0 + j] = b.rows[i][j]
+            for (i, j), e in b.entries.items():
+                out[r0 + i, c0 + j] = e
             r0 += b.nrows
             c0 += b.ncols
-        return Matrix(basis, out, nrows, ncols)
+        return Matrix(basis, out, r0, c0)
 
     # equality ------------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.basis == other.basis
                 and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
+                and self.entries == other.entries)
 
     def __hash__(self):
+        # a frozenset, so the order the entries were stored in does not count
         if self._hash is None:
-            self._hash = hash((self.basis, self.nrows, self.ncols, self.rows))
+            self._hash = hash((self.basis, self.nrows, self.ncols,
+                               frozenset(self.entries.items())))
         return self._hash
 
     def __repr__(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import (AmbientMismatch, BudgetExceeded, InternalLawViolation,
                      ShapeError)
-from .exactalg import Matrix
+from .exactalg import Matrix, QElem
 from .corrcat import (CorrMorphism, CorrObject, IsoCertificate, corner_eval,
                       direct_sum, graph_object, verify_iso, _trusted_morphism,
                       _trusted_object)
@@ -51,8 +51,12 @@ def flatten_blocks(blocks) -> Matrix:
                 raise AmbientMismatch("blocks over different rings")
     if nrows == ncols == 1:
         return blocks[0][0]
-    out = [[e for blk in row for e in blk.rows[i]]
-           for row in blocks for i in range(inner)]
+    out = {}
+    for a, row in enumerate(blocks):
+        for b, blk in enumerate(row):
+            r0, c0 = a * inner, b * inner
+            for (i, j), e in blk.entries.items():
+                out[r0 + i, c0 + j] = e
     return Matrix(basis, out, nrows * inner, ncols * inner)
 
 
@@ -66,9 +70,15 @@ def _eval_blocks_flat(inner_obj: CorrObject, outer_mats) -> list[Matrix]:
     """
     n = inner_obj.n
     basis = inner_obj.X.gb
-    entries = [e.rep for m in outer_mats for row in m.rows for e in row] if n else []
-    values = iter(corner_eval(inner_obj.p, inner_obj.gen_images, entries))
-    return [flatten_blocks([[next(values) for _ in row] for row in m.rows])
+    polys = []
+    if n:
+        for m in outer_mats:
+            zero = QElem.zero(m.basis)
+            polys += [m.entries.get((i, j), zero).rep
+                      for i in range(m.nrows) for j in range(m.ncols)]
+    values = iter(corner_eval(inner_obj.p, inner_obj.gen_images, polys))
+    return [flatten_blocks([[next(values) for _ in range(m.ncols)]
+                            for _ in range(m.nrows)])
             if n and m.nrows and m.ncols
             else Matrix.zeros(basis, m.nrows * n, m.ncols * n)
             for m in outer_mats]
@@ -184,14 +194,11 @@ def sum_split_certificate_inner(first_a: CorrObject, first_b: CorrObject,
     # move the rows (fwd) and the columns (bwd) of the idempotent to where
     # the direct sum lists them
     images = _interleave_permutation(first_a.n, first_b.n, second.n)
-    source = [0] * len(images)
-    for old, new in enumerate(images):
-        source[new] = old
-    basis, rows, n = combined.p.basis, combined.p.rows, combined.n
-    fwd = _trusted_morphism(combined, split,
-                            Matrix(basis, [rows[k] for k in source], n, n))
+    basis, entries, n = combined.p.basis, combined.p.entries, combined.n
+    fwd = _trusted_morphism(combined, split, Matrix(
+        basis, {(images[i], j): e for (i, j), e in entries.items()}, n, n))
     bwd = _trusted_morphism(split, combined, Matrix(
-        basis, [[row[k] for k in source] for row in rows], n, n))
+        basis, {(i, images[j]): e for (i, j), e in entries.items()}, n, n))
     cert = IsoCertificate(fwd, bwd)
     if not verify_iso(cert):
         raise InternalLawViolation("inner direct-sum certificate failed verification")

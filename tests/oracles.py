@@ -247,6 +247,29 @@ def dense_matrix_product(a, b):
     return Matrix(basis, rows, a.nrows, b.ncols)
 
 
+def dense_entrywise(op, *mats):
+    """``op`` applied position by position to the dense rows of equally
+    shaped matrices, zeros included."""
+    first = mats[0]
+    return Matrix(first.basis,
+                  [[op(*entries) for entries in zip(*rows)]
+                   for rows in zip(*(m.rows for m in mats))],
+                  first.nrows, first.ncols)
+
+
+def dense_block_diag(basis, blocks):
+    """The block-diagonal matrix as dense rows: each block's rows padded with
+    zeros to the left and right of its columns."""
+    zero = QElem.zero(basis)
+    ncols = sum(b.ncols for b in blocks)
+    rows, c0 = [], 0
+    for b in blocks:
+        rows += [[zero] * c0 + list(row) + [zero] * (ncols - c0 - b.ncols)
+                 for row in b.rows]
+        c0 += b.ncols
+    return Matrix(basis, rows, len(rows), ncols)
+
+
 def entrywise_pull(f, mat):
     """``mat`` over k[f.target] pulled back to k[f.source] by applying
     ``VarMorphism.pull`` (substitution, then one normal form) to each entry."""

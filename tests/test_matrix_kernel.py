@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_matrix_product, term_by_term_corner_eval
+from oracles import (dense_block_diag, dense_entrywise, dense_matrix_product,
+                     term_by_term_corner_eval)
 from kcorr import functors, pairing
+from kcorr.config import debug_validation
 from kcorr.corrcat import CorrObject, corner_eval, identity_morphism
 from kcorr.errors import AmbientMismatch, ShapeError
 from kcorr.exactalg import (Ambient, GroebnerBasis, Matrix, Poly, PrimeField, QElem,
@@ -44,25 +46,32 @@ def polys(variety, max_exp=3):
         lambda terms: Poly(variety.ambient, terms))
 
 
-def entries(variety):
-    """Mostly zero entries, so products are sparse."""
+def entries(variety, zeros):
+    """Entries of which ``zeros`` in ``zeros + 1`` are zero on average."""
     zero = QElem.zero(variety.gb)
-    return st.one_of(st.just(zero), st.just(zero),
+    return st.one_of(*[st.just(zero)] * zeros,
                      polys(variety).map(lambda f: QElem(variety.gb, f)))
 
 
 @st.composite
 def matrices(draw, variety, nrows, ncols):
-    entry = entries(variety)
+    """Dense to mostly zero, with any rows and columns all zero, built from
+    dense rows or from a dict of entries."""
+    entry = entries(variety, draw(st.integers(0, 6)))
     rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
     zero = QElem.zero(variety.gb)
-    if nrows and draw(st.booleans()):
-        rows[draw(st.integers(0, nrows - 1))] = [zero] * ncols
-    if ncols and draw(st.booleans()):
-        j = draw(st.integers(0, ncols - 1))
+    for i in draw(st.sets(st.integers(0, nrows - 1))) if nrows else ():
+        rows[i] = [zero] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1))) if ncols else ():
         for row in rows:
             row[j] = zero
-    return Matrix(variety.gb, rows, nrows, ncols)
+    if draw(st.booleans()):
+        return Matrix(variety.gb, rows, nrows, ncols)
+    # the dict form, with its zeros kept in and its positions shuffled
+    positions = draw(st.permutations([(i, j) for i in range(nrows)
+                                      for j in range(ncols)]))
+    return Matrix(variety.gb, {(i, j): rows[i][j] for i, j in positions},
+                  nrows, ncols)
 
 
 def draw_square_setup(data, variety, n):
@@ -84,6 +93,17 @@ def test_product_matches_dense_oracle(name, data):
     assert (got.nrows, got.ncols) == (r, c)
     assert got == want
     assert repr(got) == repr(want)
+    # the entrywise operations against their dense results
+    other = data.draw(matrices(variety, r, k))
+    x = data.draw(st.sampled_from(variety.field.elements_sample()))
+    for got, want in ((a + other, dense_entrywise(QElem.__add__, a, other)),
+                      (a - other, dense_entrywise(QElem.__sub__, a, other)),
+                      (-a, dense_entrywise(QElem.__neg__, a)),
+                      (a.scale(x), dense_entrywise(lambda e: e.scale(x), a)),
+                      (Matrix.block_diag(variety.gb, (a, b, a)),
+                       dense_block_diag(variety.gb, (a, b, a)))):
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -295,6 +315,34 @@ def test_each_composition_and_pushforward_makes_one_corner_eval(name, monkeypatc
         term_by_term_corner_eval(first.p, first.gen_images, img.rep) for img in g.images]
 
 
+@pytest.mark.parametrize("debug", [False, True], ids=["release", "debug"])
+def test_two_link_composition_builds_no_dense_view(debug, monkeypatch):
+    """Composing two links over (Gm1, Gm1), objects and morphisms, reads the
+    stored entries only: a kernel path that fell back to the dense ``rows``
+    would bring back the zero handling sparse storage removes."""
+    gm = gm_power(1, QQ)
+    bounds = GenBounds(max_n=3, max_deg=1, max_elementary=2, zero_weight=0.0)
+    rng = random.Random("two-link")
+    first, second = (random_object(gm, gm, seed=f"sparse-{k}", bounds=bounds)
+                     for k in (0, 4))
+    first_mor, second_mor = (random_morphism_from(obj, rng, bounds)
+                             for obj in (first, second))
+    read = []
+    dense_view = Matrix.__dict__["rows"].fget
+
+    def recorded(mat):
+        read.append(mat)
+        return dense_view(mat)
+
+    monkeypatch.setattr(Matrix, "rows", property(recorded))
+    with debug_validation(debug):
+        composite = compose_objects(first, second)
+        mor = compose_morphisms(second_mor, first_mor)
+    assert (composite.n, mor.src.n) == (6, 6)
+    assert not composite.p.is_zero() and not mor.mat.is_zero()
+    assert read == []
+
+
 def test_product_over_different_rings_raises():
     gm5, t3, gmq = (RINGS[k].gb for k in ("Gm1-F5", "T3-F5", "Gm1-Q"))
     a = Matrix.identity(gm5, 2)
@@ -312,6 +360,58 @@ def test_ragged_data_raises():
         Matrix(gb, [[one, one], [one]])
     with pytest.raises(ShapeError):
         Matrix(gb, [[one]], 1, 2)
+
+
+def test_dict_and_dense_construction_agree():
+    gb = RINGS["T3-Q"].gb
+    zero, one, y = QElem.zero(gb), QElem.one(gb), QElem.variable(gb, "y")
+    dense = Matrix(gb, [[y, zero, zero], [zero, zero, one - y]])
+    filled = {(0, 0): y, (1, 2): one - y}
+    for order in (filled, dict(reversed(filled.items()))):
+        built = Matrix(gb, order, 2, 3)
+        assert built == dense and hash(built) == hash(dense)
+        assert repr(built) == repr(dense)
+    # zero entries are dropped, given in either form
+    assert dense.entries == filled
+    with_zeros = Matrix(gb, {(1, 1): zero, **filled, (0, 2): y - y}, 2, 3)
+    assert with_zeros.entries == filled and with_zeros == dense
+    # the dense view holds the basis's shared zero off the stored entries
+    assert Matrix(gb, filled, 2, 3).rows == ((y, zero, zero), (zero, zero, one - y))
+    assert Matrix(gb, filled, 2, 3).rows[0][1] is zero
+
+
+@pytest.mark.parametrize("entries", [{(2, 0): None}, {(0, 3): None},
+                                     {(-1, 0): None}, {(0, -1): None}],
+                         ids=["row", "column", "negative-row", "negative-column"])
+def test_entry_outside_the_shape_raises(entries):
+    gb = RINGS["T3-Q"].gb
+    one = QElem.one(gb)
+    assert Matrix(gb, {(1, 2): one}, 2, 3)[1, 2] == one
+    with pytest.raises(ShapeError):
+        Matrix(gb, {(1, 2): one, **{pos: one for pos in entries}}, 2, 3)
+
+
+def test_dict_construction_checks_ring_and_shape():
+    gb, other = RINGS["Gm1-F5"].gb, RINGS["Gm1-Q"].gb
+    with pytest.raises(AmbientMismatch):
+        Matrix(gb, {(0, 0): QElem.one(other)}, 1, 1)
+    with pytest.raises(ShapeError):
+        Matrix(gb, {(0, 0): QElem.one(gb)})
+
+
+@pytest.mark.parametrize("nrows, ncols", [(0, 3), (3, 0), (0, 0)])
+def test_empty_shapes(nrows, ncols):
+    gb = RINGS["Gm1-Q"].gb
+    built = Matrix(gb, {}, nrows, ncols)
+    dense = Matrix(gb, [[]] * nrows, nrows, ncols)
+    assert built == dense == Matrix.zeros(gb, nrows, ncols)
+    assert hash(built) == hash(dense)
+    assert built.entries == {} and built.is_zero()
+    assert built.rows == ((),) * nrows
+    assert built * Matrix.zeros(gb, ncols, 2) == Matrix.zeros(gb, nrows, 2)
+    assert Matrix.zeros(gb, 2, nrows) * built == Matrix.zeros(gb, 2, ncols)
+    assert Matrix.block_diag(gb, [built, Matrix.identity(gb, 1)]) == Matrix(
+        gb, {(nrows, ncols): QElem.one(gb)}, nrows + 1, ncols + 1)
 
 
 def test_separately_built_equal_bases_compare_equal():
