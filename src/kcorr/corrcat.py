@@ -198,7 +198,7 @@ def eval_nonunital(obj: CorrObject, f) -> Matrix:
         f = f.rep
     elif isinstance(f, str):
         f = obj.Y.qelem(f).rep
-    if f.ambient != obj.Y.ambient:
+    if f.ambient is not obj.Y.ambient:
         raise UnknownVariable(
             f"polynomial over {f.ambient.vars} does not match {obj.Y.name}")
     return corner_eval(obj.p, obj.gen_images, [f])[0]

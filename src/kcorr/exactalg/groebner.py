@@ -109,7 +109,7 @@ class GroebnerBasis:
         self._zero = None
 
     def normal_form(self, f: Poly) -> Poly:
-        if f.ambient != self.ambient:
+        if f.ambient is not self.ambient:
             raise AmbientMismatch(f"{f.ambient!r} vs basis over {self.ambient!r}")
         if not self.gens or self._standard.issuperset(f.terms):
             return f
@@ -131,7 +131,7 @@ class GroebnerBasis:
     def __eq__(self, other):
         if self is other:
             return True
-        return (isinstance(other, GroebnerBasis) and self.ambient == other.ambient
+        return (isinstance(other, GroebnerBasis) and self.ambient is other.ambient
                 and self.gens == other.gens)
 
     def __hash__(self):
@@ -196,7 +196,7 @@ def buchberger(gens, ambient: Ambient | None = None) -> GroebnerBasis:
             raise AmbientMismatch("cannot infer ambient from an empty generator list")
         ambient = gens[0].ambient
     for g in gens:
-        if g.ambient != ambient:
+        if g.ambient is not ambient:
             raise AmbientMismatch(f"{g.ambient!r} vs {ambient!r}")
     key = (ambient, tuple(gens))
     basis = _BASES.get(key)
@@ -234,6 +234,6 @@ def normal_form(f: Poly, basis: GroebnerBasis) -> Poly:
 
 def quotient_eq(f: Poly, g: Poly, basis: GroebnerBasis) -> bool:
     """Equality test in the quotient ring: f == g mod the ideal."""
-    if f.ambient != basis.ambient or g.ambient != basis.ambient:
+    if f.ambient is not basis.ambient or g.ambient is not basis.ambient:
         raise AmbientMismatch("operands live over a different ambient than the basis")
     return basis.normal_form(f - g).is_zero()

@@ -30,7 +30,7 @@ class Matrix:
     them touches a zero.
     """
 
-    __slots__ = ("basis", "nrows", "ncols", "entries", "_rows", "_hash")
+    __slots__ = ("basis", "nrows", "ncols", "entries", "_rows")
 
     def __init__(self, basis: GroebnerBasis, rows, nrows=None, ncols=None):
         """``rows`` is either dense rows or a dict of entries keyed by
@@ -68,7 +68,6 @@ class Matrix:
         self.ncols = ncols
         self.entries = entries
         self._rows = None
-        self._hash = None
 
     @property
     def rows(self) -> tuple:
@@ -211,10 +210,8 @@ class Matrix:
 
     def __hash__(self):
         # a frozenset, so the order the entries were stored in does not count
-        if self._hash is None:
-            self._hash = hash((self.basis, self.nrows, self.ncols,
-                               frozenset(self.entries.items())))
-        return self._hash
+        return hash((self.basis, self.nrows, self.ncols,
+                     frozenset(self.entries.items())))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)

@@ -1,8 +1,9 @@
 """Multivariate polynomials with exact coefficients and a fixed monomial order.
 
-Monomials are exponent tuples indexed by the ambient variable list.  A
-polynomial is an immutable term map; its canonical form (terms sorted
-descending in the ambient order) is what printing, hashing and equality use.
+Monomials are exponent tuples indexed by the ambient variable list.  There
+is one ``Ambient`` per ``(variables, field, order)``, so ambients compare by
+identity.  A polynomial is an immutable term map; its canonical form (terms
+sorted descending in the ambient order) is what printing and hashing use.
 """
 
 from __future__ import annotations
@@ -52,32 +53,35 @@ def mono_coprime(a, b):
 
 
 class Ambient:
-    """A variable list, a coefficient field and a monomial order."""
+    """A variable list, a coefficient field and a monomial order.
 
-    __slots__ = ("vars", "field", "order", "_key", "_hash", "_index")
+    There is one instance per ``(variables, field, order)``, the way
+    ``PrimeField`` interns by ``p``, so ambients compare and hash by
+    identity.  Only valid ambients are stored, so duplicate variables and
+    an unknown order raise on every call.
+    """
 
-    def __init__(self, variables, field: Field, order: str = DEGREVLEX):
+    __slots__ = ("vars", "field", "order", "_key", "_index")
+
+    _instances: dict = {}
+
+    def __new__(cls, variables, field: Field, order: str = DEGREVLEX):
         variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise InvalidArity(f"duplicate variables in {variables}")
-        key = ORDER_KEYS.get(order)
-        if key is None:
-            raise InvalidArity(f"unknown monomial order {order!r}")
-        self.vars = variables
-        self.field = field
-        self.order = order
-        self._key = key
-        self._index = {v: i for i, v in enumerate(variables)}
-        self._hash = hash((variables, field, order))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, Ambient) and self.vars == other.vars
-                and self.field == other.field and self.order == other.order)
-
-    def __hash__(self):
-        return self._hash
+        inst = cls._instances.get((variables, field, order))
+        if inst is None:
+            if len(set(variables)) != len(variables):
+                raise InvalidArity(f"duplicate variables in {variables}")
+            key = ORDER_KEYS.get(order)
+            if key is None:
+                raise InvalidArity(f"unknown monomial order {order!r}")
+            inst = super().__new__(cls)
+            inst.vars = variables
+            inst.field = field
+            inst.order = order
+            inst._key = key
+            inst._index = {v: i for i, v in enumerate(variables)}
+            cls._instances[variables, field, order] = inst
+        return inst
 
     def __repr__(self):
         return f"Ambient({list(self.vars)}, {self.field}, {self.order})"
@@ -96,21 +100,20 @@ class Ambient:
 
 
 def _check_same(a: Ambient, b: Ambient):
-    if a != b:
+    if a is not b:
         raise AmbientMismatch(f"{a!r} vs {b!r}")
 
 
 class Poly:
     """Immutable sparse polynomial over a fixed ambient."""
 
-    __slots__ = ("ambient", "terms", "_sorted", "_hash")
+    __slots__ = ("ambient", "terms", "_sorted")
 
     def __init__(self, ambient: Ambient, terms: dict):
         # terms: mono -> nonzero scalar; zero coefficients are dropped here
         self.ambient = ambient
         self.terms = {m: c for m, c in terms.items() if c}
         self._sorted = None
-        self._hash = None
 
     # construction ------------------------------------------------------
 
@@ -187,10 +190,6 @@ class Poly:
         _check_same(self.ambient, other.ambient)
         if not self.terms or not other.terms:
             return Poly.zero(self.ambient)
-        if self.is_constant():
-            return other.scale(self.constant_value())
-        if other.is_constant():
-            return self.scale(other.constant_value())
         field = self.ambient.field
         acc: dict = {}
         for m1, c1 in self.terms.items():
@@ -261,13 +260,11 @@ class Poly:
     # equality / hashing / printing ----------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.ambient == other.ambient
+        return (isinstance(other, Poly) and self.ambient is other.ambient
                 and self.terms == other.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ambient, self.sorted_terms()))
-        return self._hash
+        return hash((self.ambient, self.sorted_terms()))
 
     def _mono_str(self, mono) -> str:
         parts = []

@@ -15,14 +15,13 @@ from .poly import Poly
 class QElem:
     """An element of ``k[vars]/I`` represented by its normal form."""
 
-    __slots__ = ("basis", "rep", "_hash")
+    __slots__ = ("basis", "rep")
 
     def __init__(self, basis: GroebnerBasis, rep: Poly, *, reduced: bool = False):
-        if rep.ambient != basis.ambient:
+        if rep.ambient is not basis.ambient:
             raise AmbientMismatch(f"{rep.ambient!r} vs {basis.ambient!r}")
         self.basis = basis
         self.rep = rep if reduced else basis.normal_form(rep)
-        self._hash = None
 
     # construction ------------------------------------------------------
 
@@ -81,9 +80,7 @@ class QElem:
                 and self.rep == other.rep)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.basis, self.rep))
-        return self._hash
+        return hash((self.basis, self.rep))
 
     def __str__(self):
         return str(self.rep)

@@ -134,22 +134,14 @@ def compose_morphisms(second_mor: CorrMorphism, first_mor: CorrMorphism) -> Corr
     The endpoints are composed here, not through :func:`compose_objects`:
     the source endpoint's entries go through the inner source in one
     ``corner_eval`` call, and the target endpoint's entries, followed by the
-    outer matrix's, through the inner target in one more.  When the inner
-    source and target are one object (an identity or an endomorphism) all
-    of them go through one call.
+    outer matrix's, through the inner target in one more.
     """
     inner_src, inner_dst = first_mor.src, first_mor.dst
     outer_src, outer_dst = second_mor.src, second_mor.dst
     _check_middle(inner_src, outer_src)
-    src_mats = (outer_src.p, *outer_src.gen_images)
-    dst_mats = (outer_dst.p, *outer_dst.gen_images, second_mor.mat)
-    if inner_src is inner_dst:
-        values = _eval_blocks_flat(inner_src, src_mats + dst_mats)
-        src_values, dst_values = values[:len(src_mats)], values[len(src_mats):]
-    else:
-        src_values = _eval_blocks_flat(inner_src, src_mats)
-        dst_values = _eval_blocks_flat(inner_dst, dst_mats)
-    *dst_values, outer_through_inner = dst_values
+    src_values = _eval_blocks_flat(inner_src, (outer_src.p, *outer_src.gen_images))
+    *dst_values, outer_through_inner = _eval_blocks_flat(
+        inner_dst, (outer_dst.p, *outer_dst.gen_images, second_mor.mat))
     src = _composite(inner_src, outer_src, src_values)
     dst = _composite(inner_dst, outer_dst, dst_values)
     inner_copies = Matrix.block_diag(

@@ -182,14 +182,21 @@ def _parse_matrix(span, variety: AffVariety) -> Matrix:
 
 
 def _parse_body(body: str, col: int):
-    """(key, value span) pairs from a ``{...}`` block; keys may repeat."""
+    """(key, value span) pairs from a ``{...}`` block.  A key may appear once;
+    keys are compared with their blanks collapsed, so ``gen  y`` repeats
+    ``gen y``."""
     pairs = []
+    seen = set()
     for chunk, chunk_col in _split_top_level(body, ";", col):
         if not chunk:
             continue
         if "=" not in chunk:
             raise ParseError(f"expected key = value, got {chunk!r}", column=chunk_col + 1)
         key, value = chunk.split("=", 1)
+        words = " ".join(key.split())
+        if words in seen:
+            raise ParseError(f"repeated key {key.strip()!r}", column=chunk_col + 1)
+        seen.add(words)
         pairs.append((key.strip(), _stripped(value, chunk_col + len(key) + 1)))
     return pairs
 

@@ -101,7 +101,7 @@ def make_variety(name, variables, ideal_gens, field: Field) -> AffVariety:
     gens = []
     for g in ideal_gens:
         gens.append(g if isinstance(g, Poly) else parse_poly(g, ambient))
-        if gens[-1].ambient != ambient:
+        if gens[-1].ambient is not ambient:
             raise UnknownVariable(f"generator {gens[-1]} not over {variables}")
     return AffVariety(name, variables, tuple(gens), field)
 

@@ -238,6 +238,7 @@ def test_deeply_nested_literal_is_an_input_error(capsys):
 @pytest.mark.parametrize("name, error", [
     ("not_utf8.kc", "line 4: byte 0xe9 is not UTF-8 text"),
     ("text_after_block.kc", "line 3, col 38: unexpected 'this' after the closing brace"),
+    ("repeated_key.kc", "line 3, col 38: repeated key 'vars'"),
 ])
 def test_malformed_file_is_an_input_error(name, error, capsys):
     path = Path(__file__).resolve().parent / "data" / name

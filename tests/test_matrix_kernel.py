@@ -302,10 +302,10 @@ def test_each_composition_and_pushforward_makes_one_corner_eval(name, monkeypatc
     compose_morphisms(second_mor, first_mor)
     assert batches == [endpoint, endpoint + second.n ** 2]
 
-    # an identity inner morphism: all of them through its one object
+    # an identity inner morphism: the same two calls, through its one object
     batches.clear()
     compose_morphisms(second_mor, identity_morphism(first))
-    assert batches == [2 * endpoint + second.n ** 2]
+    assert batches == [endpoint, endpoint + second.n ** 2]
 
     # composition with the graph: its unit and one 1 x 1 image per coordinate
     batches.clear()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kcorr.errors import AmbientMismatch, InvalidArity, ParseError, UnknownVariable
 from kcorr.exactalg import (DEGREVLEX, LEX, Ambient, Poly, PrimeField, QElem,
                             QQ, buchberger, parse_poly)
-from kcorr.varieties import make_variety
+from kcorr.varieties import gm_power, make_variety, point, product, split_torus
 
 AMB = Ambient(("x", "y"), QQ, DEGREVLEX)
 AMB5 = Ambient(("x", "y"), PrimeField(5), DEGREVLEX)
@@ -178,6 +178,46 @@ def test_substitute_and_rename():
 def test_reprs():
     assert repr(parse_poly("x^2 + 1", AMB)) == "Poly(x^2 + 1)"
     assert repr(QElem(buchberger([], AMB), parse_poly("x", AMB))) == "QElem(x)"
+
+
+def test_ambients_built_apart_are_one_object():
+    """One Ambient per (variables, field, order), however it was reached."""
+    torus = Ambient(["t1", "s1"], QQ)
+    gm, gm_twin = gm_power(1, QQ), gm_power(1, QQ)
+    assert gm.ambient is gm_twin.ambient is torus
+    assert gm.ideal_gens[0].ambient is gm_twin.ideal_gens[0].ambient is torus
+    line, line_twin = make_variety("A1", ["x"], [], QQ), make_variety("A1", ("x",), [], QQ)
+    assert line.ambient is line_twin.ambient is Ambient(("x",), QQ, DEGREVLEX)
+    assert parse_poly("x", line.ambient).ambient is parse_poly("x^2", line_twin.ambient).ambient
+    plane = product(line, line)
+    assert plane.ambient is product(line_twin, line_twin).ambient
+    # split_torus builds its base afresh: a point, or a product of the rest
+    assert split_torus(gm)[0].ambient is point(QQ).ambient is Ambient((), QQ)
+    base, split_off, _ = split_torus(product(plane, gm_twin))
+    assert base.ambient is plane.ambient and split_off.ambient is torus
+
+
+@pytest.mark.parametrize("variables, field, order", [
+    (("y", "x"), QQ, DEGREVLEX), (("x", "y"), PrimeField(5), DEGREVLEX),
+    (("x", "y"), QQ, LEX)], ids=["variables", "field", "order"])
+def test_ambients_that_differ_are_distinct(variables, field, order):
+    other = Ambient(variables, field, order)
+    assert other is not AMB and other is Ambient(variables, field, order)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((("x", "x"), QQ), "duplicate variables in ('x', 'x')"),
+    ((("x",), QQ, "grlex"), "unknown monomial order 'grlex'")],
+    ids=["duplicate-variables", "order"])
+def test_an_invalid_ambient_raises_on_every_call(args, message):
+    for _ in range(2):
+        with pytest.raises(InvalidArity) as info:
+            Ambient(*args)
+        assert info.value.detail == message
+
+
+def test_ambients_compare_and_hash_by_identity():
+    assert "__eq__" not in Ambient.__dict__ and "__hash__" not in Ambient.__dict__
 
 
 def test_ambient_mismatch():

@@ -58,7 +58,8 @@ def test_round_trip_is_exact():
 ROOT = Path(__file__).resolve().parent.parent
 # the bad inputs that fail to parse; the CLI job checks where each fails
 UNPARSABLE = {"deep_parentheses.kc", "huge_coefficient.kc", "huge_power.kc",
-              "not_utf8.kc", "text_after_block.kc", "unknown_variable_in_block.kc"}
+              "not_utf8.kc", "repeated_key.kc", "text_after_block.kc",
+              "unknown_variable_in_block.kc"}
 SESSION_FILES = [ROOT / "examples" / "tour.kc"] + [
     path for path in sorted((ROOT / "tests" / "data").glob("*.kc"))
     if path.name not in UNPARSABLE]
@@ -242,6 +243,8 @@ def test_declare_rejects_what_is_not_a_value():
     ("map m -> V : V { x = x }", 1, "expected NAME : SRC -> DST"),
     # only blanks may follow the closing brace; a comment is gone by then
     ("variety W { vars = [w]; ideal = [] }   ; # c", 40, "unexpected ';'"),
+    # a repeated key is named where it repeats
+    ("map m : V -> V { x = x; x = 2 }", 25, "repeated key 'x'"),
 ])
 def test_errors_name_their_column_in_the_source_line(decl, column, message):
     text = f"field Q\nvariety V {{ vars = [x]; ideal = [] }}\n{decl}\n"
@@ -262,6 +265,8 @@ def test_errors_name_their_column_in_the_source_line(decl, column, message):
     ("variety W {\n  vars = [w];   # one coordinate\n  ideal = [w -* 1]\n}", 5, 15,
      "unexpected token"),
     ("variety W {\n  vars = [w]\n}  ideal = [w] # two", 5, 4, "unexpected 'ideal'"),
+    ("corr C : V -> V {\n  n = 1; unit = [[1]];\n  gen x = [[x]]; gen  x = [[1]] }", 5, 18,
+     "repeated key 'gen  x'"),
 ])
 def test_multiline_block_errors_name_their_source_line(block, line, column, message):
     text = f"field Q\nvariety V {{ vars = [x]; ideal = [] }}\n{block}\n"
@@ -340,6 +345,16 @@ morphism THI : G -> G { matrix = [[1/2]] }
     ("variety B", ParseError, "variety declaration needs a {...} block"),
     ("frobnicate B", ParseError, "unknown statement 'frobnicate'"),
     ("variety B {\n  vars = [x];\n", ParseError, "unterminated block"),
+    # a key may appear once in a block
+    ("variety B { vars = [x]; ideal = []; vars = [y] }", ParseError,
+     "repeated key 'vars'"),
+    ("map f : A1 -> A1 { x = x; x = 2 }", ParseError, "repeated key 'x'"),
+    ("corr C : pt -> A1 { n = 1; unit = [[1]]; gen x = [[0]]; gen  x = [[1]] }",
+     ParseError, "repeated key 'gen  x'"),
+    ("morphism M : G -> G { matrix = [[1]]; matrix = [[2]] }", ParseError,
+     "repeated key 'matrix'"),
+    ("aut B { base = G; theta = [TH]; theta_inv = [THI]; base = G }", ParseError,
+     "repeated key 'base'"),
 ])
 def test_session_reader_errors_exit_2_naming_their_line(statement, error, message,
                                                          tmp_path, capsys):
